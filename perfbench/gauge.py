@@ -6,8 +6,10 @@ fixed pure-Python loop that no change to smmport can speed up or slow
 down. A run samples it between ops and reports each op's time as
 ``raw * REF_MS / g``, with g the median gauge sampled within GAUGE_WINDOW_S
 of the op: the time the op would take on a machine where the gauge takes
-REF_MS. Set-up times are scaled by the run's median gauge. The raw times
-are kept in the run's record.
+REF_MS. Each set-up time is scaled by the mean of two gauges that bracket
+it: one taken by ``run.py`` just before it starts the process, one taken
+by the process just after its set-up. The raw times are kept in the run's
+record.
 """
 
 from __future__ import annotations

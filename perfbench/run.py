@@ -17,6 +17,7 @@ line of standard output is one JSON object with ``correct``, ``attempted``,
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -25,7 +26,7 @@ import subprocess
 import sys
 import time
 
-from gauge import REF_MS, scaled_ms
+from gauge import REF_MS, gauge_ms, scaled_ms
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -58,6 +59,14 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def package_version(name: str) -> str:
+    """Installed version, read without importing the package; or "absent"."""
+    try:
+        return importlib.metadata.version(name)
+    except importlib.metadata.PackageNotFoundError:
+        return "absent"
+
+
 def git_state() -> dict:
     """Commit and dirty flag; None outside a git checkout."""
     if not os.path.isdir(os.path.join(ROOT, ".git")):
@@ -82,6 +91,9 @@ def run_worker(args, stem: str, out: str, deadline: float, setup_only: bool,
            "--spans", f"{stem}.spans.jsonl"]
     if setup_only:
         cmd.append("--setup-only")
+    # With the gauge the worker takes right after its set-up, this one
+    # brackets the set-up; on the same core when the run is pinned.
+    pre_gauge = gauge_ms()
     t0 = time.monotonic()
     proc = subprocess.run([*cmd, "--t0", repr(t0)], cwd=ROOT, stdout=sys.stderr,
                           env={**os.environ, **SINGLE_THREAD_BLAS,
@@ -92,7 +104,7 @@ def run_worker(args, stem: str, out: str, deadline: float, setup_only: bool,
     with open(out, encoding="utf-8") as fh:
         result = json.load(fh)
     os.remove(out)
-    return result
+    return {**result, "pre_gauge_ms": pre_gauge}
 
 
 def tail(times: list[float]) -> tuple[float, float]:
@@ -129,7 +141,8 @@ def main() -> int:
         # every core: the threaded Monte Carlo probe needs them.
         os.sched_setaffinity(0, {min(cpus)})
     env = {"nproc": len(cpus), "cpu": cpu_model(),
-           "python": platform.python_version(), **git_state(),
+           "python": platform.python_version(), "numpy": package_version("numpy"),
+           "scipy": package_version("scipy"), **git_state(),
            "loadavg_start": os.getloadavg(), "seed": args.seed,
            "workload": args.workload, "seconds": args.seconds, "trace": args.trace}
     os.makedirs(RESULTS, exist_ok=True)
@@ -151,7 +164,10 @@ def main() -> int:
     plain = [op for op in ops if not op["traced"] and op["ok"]]
     attempted = max(res["attempted"], 1)
     failed = res["failed"] if res["attempted"] else 1
-    setups = [r for r in (*setup_runs, res) if r.get("setup_s") is not None]
+    setups = [{"setup_s": r["setup_s"],
+               "gauge_ms": (r["pre_gauge_ms"] + r["setup_gauge_ms"]) / 2}
+              for r in (*setup_runs, res)
+              if r.get("setup_s") is not None and r.get("setup_gauge_ms")]
     env.update({"ops": len(ops), "setups": len(setups),
                 "measured_s": res.get("measured_s")})
 
@@ -172,9 +188,12 @@ def main() -> int:
             values["op_p50_ms"] = statistics.median(scaled)
             values["op_tail_ms"], env["tail_pct"] = tail(scaled)
             env["gauge_ms"] = statistics.median(g for _, g in gauges)
-            if setups:
-                raw["setup_s"] = statistics.median(r["setup_s"] for r in setups)
-                values["setup_s"] = raw["setup_s"] * REF_MS / env["gauge_ms"]
+    if not args.trace and setups:
+        # Each set-up is scaled by the mean of the gauges just before and
+        # just after it, so no drift between set-ups enters its scale.
+        raw["setup_s"] = statistics.median(r["setup_s"] for r in setups)
+        values["setup_s"] = statistics.median(
+            r["setup_s"] * REF_MS / r["gauge_ms"] for r in setups)
     metrics = {name: {"value": values.get(name), "unit": unit}
                for name, unit in units.items()}
     record = {"env": env, "metrics": metrics, "raw": raw,

@@ -22,8 +22,6 @@ import time
 ROOT = os.getcwd()
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-import numpy as np  # noqa: E402
-
 import smmport  # noqa: E402
 from gauge import EVERY_S, gauge_ms  # noqa: E402
 from tracer import NULL, Tracer  # noqa: E402
@@ -118,19 +116,10 @@ def main() -> int:
     return 0
 
 
-def versions() -> dict:
-    try:
-        import scipy
-        scipy_version = scipy.__version__
-    except ImportError:
-        scipy_version = "absent"
-    return {"numpy": np.__version__, "scipy": scipy_version,
-            "smmport": getattr(smmport, "__version__", "unknown")}
-
-
 def run(args, workdir) -> dict:
     outcome = Outcome()
-    result = {"versions": versions()}
+    # numpy and scipy versions are read by run.py, which imports neither.
+    result = {"versions": {"smmport": getattr(smmport, "__version__", "unknown")}}
     try:
         wl = WORKLOADS[args.workload](ROOT, args.seed, workdir)
     except Exception as exc:  # set-up that cannot finish fails the run
@@ -138,7 +127,10 @@ def run(args, workdir) -> dict:
         outcome.fail(f"{args.workload} set-up", repr(exc),
                      missing=str(exc) if isinstance(exc, MissingApi) else None)
     if args.setup_only:
-        return {**result, "setup_s": time.monotonic() - args.t0 if wl else None}
+        if wl is None:
+            return {**result, "setup_s": None}
+        setup_s = time.monotonic() - args.t0
+        return {**result, "setup_s": setup_s, "setup_gauge_ms": gauge_ms()}
 
     tracer = Tracer() if args.trace else NULL
     start = time.perf_counter()
@@ -192,7 +184,9 @@ def run(args, workdir) -> dict:
             outcome.failed += 1
             outcome.problems.append(f"{wl.name} op 0 after loop: {'; '.join(problems)}")
 
-    result.update({"setup_s": setup_s, "gauges_ms": gauges,
+    result.update({"setup_s": setup_s,
+                   "setup_gauge_ms": gauges[0][1] if gauges else None,
+                   "gauges_ms": gauges,
                    "measured_s": measured_s,
                    "peak_rss_mb": peak_kb * 1024 / 1e6 if ops else None, "ops": ops})
     if args.trace:
