@@ -32,7 +32,6 @@ from .hedging import (
     optimize_basis,
     solve_hedge,
 )
-from .kernels import BACKEND
 from .lcem import (
     LcemComparison,
     LcemModel,
@@ -78,7 +77,6 @@ from .moments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "DegenerateMarket",
     "DimensionMismatch",
     "DiscreteMarket",

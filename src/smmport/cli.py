@@ -44,11 +44,13 @@ from .leverage import LeverageSample, leverage_curve
 from .market import DiscreteMarket, evaluate, merge_states, q_of, smm_policy
 from .moments import Kelly, MeanVariance, SharpeBudget, optimal_objective_value
 
+# LinAlgError subclasses ValueError, so this tuple is matched first.
 _NUMERICAL_ERRORS = (
     NotPositiveDefinite,
     SingularConstraintSystem,
     SingularBasis,
     DegenerateMarket,
+    np.linalg.LinAlgError,
 )
 _VALIDATION_ERRORS = (
     DomainError,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import (
     DimensionMismatch,
@@ -38,6 +37,7 @@ from .moments import (
     MomentPair,
     Objective,
     PerfSummary,
+    _chol_solve,
     conditional_q,
     scaling_constant,
     smm_direction,
@@ -170,7 +170,7 @@ def solve_hedge(
     solved = []  # per state: inv(A_s) @ [G | mu]
     for s, (p, m) in enumerate(market.states):
         rhs = np.column_stack([con.g[s] for con in constraints] + [m.mu])
-        x = cho_solve((m.chol_second, True), rhs)
+        x = _chol_solve(m.chol_second, rhs)
         solved.append(x)
         g_stack = rhs[:, :n_con]
         m_mat += p * (g_stack.T @ x[:, :n_con])

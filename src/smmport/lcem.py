@@ -12,6 +12,14 @@ returns conditional on f are taken analytically. That variance reduction
 is what makes the tiny Sharpe gap between the second-moment policy and
 the covariance policy resolvable at desk scale.
 
+With Sigma = L L' and the feature law f = m + F z, z standard normal,
+
+    s = ||C z + d||^2,    C = inv(L) B F,    d = inv(L) B m.
+
+``LcemModel`` computes C and d once, at construction, so a block of
+samples costs one normal draw, one matrix product and a row-wise sum of
+squares: features are never formed and nothing is solved per sample.
+
 Sampling contract
 -----------------
 Features are drawn in fixed blocks of ``BLOCK_SIZE`` samples. Block b
@@ -29,11 +37,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
-from . import kernels
 from .errors import DomainError, NotPositiveDefinite
-from .moments import _as_vector, _lock, _symmetrize, spd_cholesky
+from .moments import (
+    _as_square,
+    _as_vector,
+    _chol_solve,
+    _lock,
+    _symmetrize,
+    _tri_solve,
+    spd_cholesky,
+)
 
 BLOCK_SIZE = 1 << 16
 
@@ -44,10 +58,16 @@ _N_SUMS = 10
 
 
 class LcemModel:
-    """Coefficient matrix, residual covariance, and Gaussian feature law."""
+    """Coefficient matrix, residual covariance, and Gaussian feature law.
+
+    ``signal_factor`` and ``signal_offset`` are C = inv(L) B F and
+    d = inv(L) B m (see the module docstring), so that
+    s = ||C z + d||^2 for a standard normal z.
+    """
 
     __slots__ = ("B", "sigma", "feature_mean", "feature_cov",
-                 "chol_sigma", "feature_factor")
+                 "chol_sigma", "feature_factor",
+                 "signal_factor", "signal_offset")
 
     def __init__(self, B, sigma, feature_mean, feature_cov):
         b_mat = np.ascontiguousarray(B, dtype=np.float64)
@@ -56,22 +76,19 @@ class LcemModel:
         if not np.all(np.isfinite(b_mat)):
             raise DomainError("B has non-finite entries")
         n, k = b_mat.shape
-        sig = _symmetrize(
-            np.ascontiguousarray(sigma, dtype=np.float64), "sigma"
-        )
-        if sig.shape != (n, n):
-            raise DomainError(f"sigma must be {n}x{n}, got {sig.shape}")
+        sig = _symmetrize(_as_square(sigma, n, "sigma"), "sigma")
         fmean = _as_vector(feature_mean, "feature_mean")
         if fmean.size != k:
             raise DomainError(f"feature_mean must have length {k}")
-        fcov = _symmetrize(
-            np.ascontiguousarray(feature_cov, dtype=np.float64), "feature_cov"
-        )
-        if fcov.shape != (k, k):
-            raise DomainError(f"feature_cov must be {k}x{k}, got {fcov.shape}")
+        fcov = _symmetrize(_as_square(feature_cov, k, "feature_cov"),
+                           "feature_cov")
 
-        self.chol_sigma = _lock(spd_cholesky(sig, "sigma"))
-        self.feature_factor = _lock(_psd_factor(fcov, "feature_cov"))
+        chol = spd_cholesky(sig, "sigma")
+        factor = _psd_factor(fcov, "feature_cov")
+        self.chol_sigma = _lock(chol)
+        self.feature_factor = _lock(factor)
+        self.signal_factor = _lock(_tri_solve(chol, b_mat @ factor))
+        self.signal_offset = _lock(_tri_solve(chol, b_mat @ fmean))
         self.B = _lock(b_mat)
         self.sigma = _lock(sig)
         self.feature_mean = _lock(fmean)
@@ -189,9 +206,9 @@ def lcem_conditional_weights(model: LcemModel, f, scale: float = 1.0) -> np.ndar
     if fv.size != model.n_features:
         raise DomainError(f"f must have length {model.n_features}")
     signal = model.B @ fv
-    y = solve_triangular(model.chol_sigma, signal, lower=True)
+    y = _tri_solve(model.chol_sigma, signal)
     s = float(y @ y)
-    return (float(scale) / (1.0 + s)) * cho_solve((model.chol_sigma, True), signal)
+    return (float(scale) / (1.0 + s)) * _chol_solve(model.chol_sigma, signal)
 
 
 def block_bounds(n_samples: int) -> list[tuple[int, int]]:
@@ -202,20 +219,35 @@ def block_bounds(n_samples: int) -> list[tuple[int, int]]:
     ]
 
 
+def _normal_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
+    """Standard normal draws z behind block ``block_index``, one row per
+    sample: the sampling contract of the module docstring."""
+    bitgen = np.random.Philox(key=seed, counter=block_index << 128)
+    return np.random.Generator(bitgen).standard_normal((count, model.n_features))
+
+
 def feature_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
     """Draw the ``count`` feature rows of block ``block_index``.
 
     Deterministic given (seed, block_index, count); independent of any
     other block.
     """
-    bitgen = np.random.Philox(key=seed, counter=block_index << 128)
-    z = np.random.Generator(bitgen).standard_normal((count, model.n_features))
+    z = _normal_block(model, seed, block_index, count)
     return model.feature_mean + z @ model.feature_factor.T
 
 
+def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
+    """s = (B f)' inv(Sigma) (B f) for each feature row of block ``block_index``.
+
+    Computed as ||C z + d||^2 from the same draws as :func:`feature_block`.
+    """
+    y = _normal_block(model, seed, block_index, count) @ model.signal_factor.T
+    y += model.signal_offset
+    return np.einsum("ij,ij->i", y, y)
+
+
 def _block_sums(model: LcemModel, seed: int, block_index: int, count: int):
-    feats = feature_block(model, seed, block_index, count)
-    s = kernels.lcem_s_values(feats, model.B, model.chol_sigma)
+    s = s_block(model, seed, block_index, count)
     a = s / (1.0 + s)
     s2 = s * s
     return (

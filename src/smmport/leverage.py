@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, ShapeMismatch
 
 # Grid points whose total kernel mass falls below this are emitted as
@@ -28,6 +27,18 @@ def silverman_bandwidth(xs: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 1.06 * std(x) * T**(-1/5)."""
     xs = np.asarray(xs, dtype=np.float64)
     return 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
+
+
+def nw_sums(xs, ys, grid, bandwidth):
+    """Gaussian-kernel weight sums for Nadaraya-Watson regression.
+
+    Returns ``(den, num)`` where ``den[j]`` is the total kernel mass at
+    grid point j and ``num[r, j]`` the mass-weighted sum of response
+    row r. ``ys`` has shape (n_responses, n_samples).
+    """
+    u = (grid[None, :] - xs[:, None]) / bandwidth
+    w = np.exp(-0.5 * u * u)
+    return w.sum(axis=0), ys @ w
 
 
 def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
@@ -45,7 +56,7 @@ def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
         raise DomainError("need at least two samples")
     if not float(bandwidth) > 0.0:
         raise DomainError("bandwidth must be positive")
-    den, num = kernels.nw_sums(xs, ys, grid, bandwidth)
+    den, num = nw_sums(xs, ys[None, :], grid, float(bandwidth))
     out = np.full(grid.size, np.nan)
     mask = den >= MIN_KERNEL_MASS
     out[mask] = num[0, mask] / den[mask]
@@ -138,8 +149,9 @@ def leverage_curve(
             "explicit bandwidth)"
         )
 
-    den, num = kernels.nw_sums(
-        sample.x, np.vstack([sample.y, sample.y * sample.y]), grid, bandwidth
+    den, num = nw_sums(
+        sample.x, np.vstack([sample.y, sample.y * sample.y]), grid,
+        float(bandwidth),
     )
     mask = den >= MIN_KERNEL_MASS
     m_hat = num[0, mask] / den[mask]

@@ -9,6 +9,7 @@ bit-stable.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .moments import (
 )
 
 PROB_SUM_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 # Maximum tolerated disagreement between the two q formulas.
 Q_CONSISTENCY_TOL = 1e-10
@@ -56,10 +58,10 @@ class DiscreteMarket:
                 raise DomainError(f"state {i}: moments must be a MomentPair")
             if not 0.0 < p <= 1.0 + PROB_SUM_TOL:
                 raise DomainError(f"state {i}: probability {p} outside (0, 1]")
-        total = 0.0
-        for p, _ in states:
-            total += p
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        # fsum rounds once; the S * eps allowance covers probabilities
+        # normalized by a naively accumulated total.
+        total = math.fsum(p for p, _ in states)
+        if abs(total - 1.0) > max(PROB_SUM_TOL, len(states) * _EPS):
             raise DomainError(f"state probabilities sum to {total!r}, not 1")
         n = states[0][1].n
         for i, (_, m) in enumerate(states):

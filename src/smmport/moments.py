@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DegenerateMarket, DomainError, NotPositiveDefinite
 
@@ -79,6 +78,16 @@ def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
             f"{name} is numerically singular (pivot below tolerance)"
         )
     return lower
+
+
+def _tri_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L y = b for a lower Cholesky factor L; b may be a matrix."""
+    return np.linalg.solve(lower, b)
+
+
+def _chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = b given the lower Cholesky factor L."""
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -140,7 +149,7 @@ class MomentPair:
 
 def markowitz_direction(pair: MomentPair) -> np.ndarray:
     """Covariance-inverse direction inv(Sigma) mu."""
-    return cho_solve((pair.chol_sigma, True), pair.mu)
+    return _chol_solve(pair.chol_sigma, pair.mu)
 
 
 def smm_direction(pair: MomentPair) -> np.ndarray:
@@ -148,19 +157,19 @@ def smm_direction(pair: MomentPair) -> np.ndarray:
 
     Equals ``markowitz_direction`` divided by 1 + mu' inv(Sigma) mu.
     """
-    return cho_solve((pair.chol_second, True), pair.mu)
+    return _chol_solve(pair.chol_second, pair.mu)
 
 
 def conditional_sharpe_sq(pair: MomentPair) -> float:
     """Squared conditional Sharpe of the locally optimal allocation,
     mu' inv(Sigma) mu."""
-    y = solve_triangular(pair.chol_sigma, pair.mu, lower=True)
+    y = _tri_solve(pair.chol_sigma, pair.mu)
     return float(y @ y)
 
 
 def conditional_q(pair: MomentPair) -> float:
     """Squared conditional Hansen ratio mu' inv(A) mu, in [0, 1)."""
-    y = solve_triangular(pair.chol_second, pair.mu, lower=True)
+    y = _tri_solve(pair.chol_second, pair.mu)
     return float(y @ y)
 
 

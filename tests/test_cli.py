@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import smmport
 from smmport import DiscreteMarket, Policy, evaluate
 from smmport.cli import main
 
@@ -122,6 +124,27 @@ def test_degenerate_market_is_numerical_error(capsys, tmp_path):
     assert rc == 1 and "error:" in err
 
 
+def test_linalg_error_is_numerical_error(capsys, monkeypatch, two_state_market_path):
+    # LinAlgError is a ValueError, but it is not invalid input
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path)
+    assert rc == 1 and out == "" and "Singular matrix" in err
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smmport.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, smmport; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_merge_states_command(capsys, two_state_market_path):
     rc, out, _ = run_cli(
         capsys, "merge-states", "--market", two_state_market_path, "--subset", "0,1"
@@ -158,6 +181,16 @@ def test_simulate_lcem_json(capsys, lcem_model_path):
     assert doc["delta_sr"]["value"] >= 0.0
     for key in ("q", "sr_smm", "sr_mp", "delta_sr", "rescale_std"):
         assert set(doc[key]) == {"value", "std_error", "n"}
+
+
+@pytest.mark.parametrize("field", ["sigma", "feature_cov"])
+def test_simulate_lcem_non_finite_model(capsys, tmp_path, lcem_model_path, field):
+    with open(lcem_model_path) as fh:
+        model = json.load(fh)
+    model[field][0][0] = math.nan
+    path = write_json(tmp_path / "nan_model.json", model)
+    rc, out, err = run_cli(capsys, "simulate-lcem", "--model", path, "--n", "1000")
+    assert rc == 2 and out == "" and "non-finite" in err
 
 
 def test_simulate_lcem_text_format(capsys, lcem_model_path):

@@ -14,7 +14,7 @@ from smmport import (
     lcem_conditional_weights,
     smm_direction,
 )
-from smmport.lcem import BLOCK_SIZE, block_bounds, feature_block
+from smmport.lcem import BLOCK_SIZE, block_bounds, feature_block, s_block
 from conftest import random_spd
 
 
@@ -44,6 +44,13 @@ def test_model_validation():
     # singular feature covariance is allowed: features are sampled only
     LcemModel(B=np.ones((2, 2)), sigma=np.eye(2), feature_mean=np.zeros(2),
               feature_cov=np.zeros((2, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="sigma has non-finite"):
+            LcemModel(B=np.ones((2, 2)), sigma=[[1.0, bad], [bad, 1.0]],
+                      feature_mean=np.zeros(2), feature_cov=np.eye(2))
+        with pytest.raises(DomainError, match="feature_cov has non-finite"):
+            LcemModel(B=np.ones((2, 2)), sigma=np.eye(2),
+                      feature_mean=np.zeros(2), feature_cov=[[bad, 0.0], [0.0, 1.0]])
 
 
 def test_mcconfig_validation():
@@ -158,6 +165,27 @@ def test_feature_blocks_partition_samples():
     np.testing.assert_array_equal(blk, again)
     other = feature_block(model, seed=9, block_index=2, count=100)
     assert not np.array_equal(blk, other)
+
+
+def test_s_values_match_direct_formula():
+    # ||C z + d||^2 against (B f)' inv(Sigma) (B f) on the same draws
+    rng = np.random.default_rng(14)
+    models = [small_model(seed=s, n=int(rng.integers(1, 5)),
+                          k=int(rng.integers(1, 6))) for s in range(8)]
+    v = rng.standard_normal(3)
+    models.append(LcemModel(B=rng.standard_normal((2, 3)), sigma=random_spd(rng, 2),
+                            feature_mean=rng.standard_normal(3),
+                            feature_cov=np.outer(v, v)))
+    for i, model in enumerate(models):
+        feats = feature_block(model, seed=i, block_index=3, count=4096)
+        signal = feats @ model.B.T
+        direct = np.einsum("ij,ij->i", signal,
+                           np.linalg.solve(model.sigma, signal.T).T)
+        # both forms cancel as s -> 0, where only an absolute bound holds
+        np.testing.assert_allclose(
+            s_block(model, seed=i, block_index=3, count=4096), direct,
+            rtol=1e-12, atol=1e-12 * float(direct.mean()),
+        )
 
 
 def test_compare_policies_zero_signal():

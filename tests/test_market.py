@@ -75,10 +75,20 @@ def test_market_validation():
         DiscreteMarket([(0.5, pair), (0.6, pair)])
     with pytest.raises(DomainError):
         DiscreteMarket([(0.0, pair), (1.0, pair)])
+    with pytest.raises(DomainError, match="sum to"):
+        DiscreteMarket([(0.5, pair), (0.5 + 1e-9, pair)])
     with pytest.raises(DimensionMismatch):
         DiscreteMarket(
             [(0.5, pair), (0.5, random_moment_pair(np.random.default_rng(1), 3))]
         )
+
+
+def test_uniform_market_many_states_accepted():
+    # a naive running sum of 10**5 copies of 1e-5 misses 1 by ~2e-12
+    pair = random_moment_pair(np.random.default_rng(2), 2)
+    n_states = 10**5
+    market = DiscreteMarket([(1.0 / n_states, pair)] * n_states)
+    assert market.n_states == n_states
 
 
 def test_q_of_known_value(two_state_market):
