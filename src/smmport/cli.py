@@ -136,7 +136,7 @@ def _cmd_solve_discrete(args) -> str:
     else:
         policy = smm_policy(market, objective)
         out["optimal_objective"] = optimal_objective_value(out["q"], objective)
-    out["policy"] = [w.tolist() for w in policy.weights]
+    out["policy"] = policy.weights.tolist()
     out["summary"] = evaluate(market, policy, rfr=rfr).to_dict()
     return render_json(out)
 
@@ -243,16 +243,17 @@ def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DomainError(
+                    f"{path}:{row_num}: {len(row)} fields, header has {len(header)}"
+                )
             try:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise DomainError(f"{path}:{row_num}: malformed row {row!r}") from None
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    mat = np.array(rows)
-    if mat.shape[1] != len(header):
-        raise DomainError(f"{path}: rows do not match header width")
-    return [h.strip() for h in header], mat
+    return [h.strip() for h in header], np.array(rows)
 
 
 def _cmd_flatten(args) -> str:

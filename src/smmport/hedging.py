@@ -15,6 +15,12 @@ orthogonal-complement optimum q_g plus the optimum over the span of the
 constraint directions. ``optimize_basis`` solves the complementary
 problem of optimizing over a finite set of basis portfolio functions,
 which reduces to a classical single-period problem on pseudo-assets.
+
+Per-state portfolio functions (a constraint's ``g`` and ``target``, the
+elements of a basis) are (S, n) arrays with one row per state. M, b and
+the basis Gram matrix come from batched solves and ``einsum`` against
+the market's stacked Cholesky factors, summed over states with
+``math.fsum`` as in :mod:`smmport.market`.
 """
 
 from __future__ import annotations
@@ -32,12 +38,21 @@ from .errors import (
     SingularBasis,
     SingularConstraintSystem,
 )
-from .market import DiscreteMarket, Policy, evaluate, q_of
+from .market import (
+    DiscreteMarket,
+    Policy,
+    _float_rows,
+    _fsum_states,
+    evaluate,
+    q_of,
+    smm_policy,
+)
 from .moments import (
     MomentPair,
     Objective,
     PerfSummary,
     _chol_solve,
+    _lock,
     conditional_q,
     scaling_constant,
     smm_direction,
@@ -47,43 +62,45 @@ from .moments import (
 CONDITION_LIMIT = 1e12
 
 
-def _per_state_vectors(x, market: DiscreteMarket, name: str) -> tuple[np.ndarray, ...]:
-    vecs = x.weights if isinstance(x, Policy) else tuple(
-        np.ascontiguousarray(v, dtype=np.float64) for v in x
-    )
-    if len(vecs) != market.n_states:
+def _per_state_vectors(x, market: DiscreteMarket, name: str) -> np.ndarray:
+    """Read-only (S, n) array from a Policy or a sequence of per-state vectors."""
+    rows = x.weights if isinstance(x, Policy) else x
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    v = _float_rows(rows)
+    if v is not None and v.shape == (market.n_states, market.n_assets):
+        return _lock(v)
+    if len(rows) != market.n_states:
         raise DimensionMismatch(
-            f"{name} has {len(vecs)} states, market has {market.n_states}"
+            f"{name} has {len(rows)} states, market has {market.n_states}"
         )
-    for i, v in enumerate(vecs):
-        if v.shape != (market.n_assets,):
+    for i, r in enumerate(rows):
+        if np.shape(r) != (market.n_assets,):
             raise DimensionMismatch(
                 f"{name} state {i}: expected length {market.n_assets}"
             )
-    return vecs
+    raise DomainError(f"{name}: per-state vectors must be numeric")
 
 
 def inner_product(x, y, market: DiscreteMarket) -> float:
     """Probability-weighted inner product sum_s p_s x_s' y_s."""
     xv = _per_state_vectors(x, market, "x")
     yv = _per_state_vectors(y, market, "y")
-    total = 0.0
-    for (p, _), a, b in zip(market.states, xv, yv):
-        total += p * float(a @ b)
-    return total
+    return _fsum_states(market.probs * np.einsum("si,si->s", xv, yv))
 
 
 @dataclass(frozen=True)
 class HedgeConstraint:
     """A per-state portfolio function the policy must be orthogonal to.
 
-    ``target`` records the hedged portfolio for zero-covariance
+    ``g`` is a read-only (S, n) array, one row per state. ``target``
+    records the hedged portfolio, also (S, n), for zero-covariance
     constraints; it is None for raw ones.
     """
 
-    g: tuple[np.ndarray, ...]
+    g: np.ndarray
     kind: str = "raw"
-    target: tuple[np.ndarray, ...] | None = None
+    target: np.ndarray | None = None
 
     @classmethod
     def raw(cls, vectors, market: DiscreteMarket) -> "HedgeConstraint":
@@ -97,13 +114,9 @@ class HedgeConstraint:
         g_s = A_s w_s - c mu_s for target weights w.
         """
         w = _per_state_vectors(target, market, "target")
-        mus = [m.mu for _, m in market.states]
-        wm = inner_product(w, mus, market)
-        g = tuple(
-            m.second_moment @ ws - wm * m.mu
-            for (_, m), ws in zip(market.states, w)
-        )
-        return cls(g=g, kind="zero_covariance", target=w)
+        wm = inner_product(w, market.mu, market)
+        g = np.einsum("sij,sj->si", market.second_moment, w) - wm * market.mu
+        return cls(g=_lock(g), kind="zero_covariance", target=w)
 
 
 @dataclass(frozen=True)
@@ -152,29 +165,23 @@ def solve_hedge(
     q = q_of(market)
     n_con = len(constraints)
     if n_con == 0:
-        c = scaling_constant(q, objective)
-        policy = Policy([c * smm_direction(m) for _, m in market.states])
         empty = np.zeros(0)
         sol = HedgeSolution(
             m_mat=np.zeros((0, 0)), b_vec=empty, multipliers=empty,
             q_g=q, spanned_q=0.0,
         )
-        return policy, sol
+        return smm_policy(market, objective), sol
 
-    for j, con in enumerate(constraints):
+    # G stacks the constraint functions as (S, n, J); one batched solve
+    # gives inv(A_s) G_s, and the market already holds inv(A_s) mu_s.
+    g = np.stack([
         _per_state_vectors(con.g, market, f"constraint {j}")
-
-    # Per state: solve A_s X = [g_1 ... g_J, mu] once.
-    m_mat = np.zeros((n_con, n_con))
-    b_vec = np.zeros(n_con)
-    solved = []  # per state: inv(A_s) @ [G | mu]
-    for s, (p, m) in enumerate(market.states):
-        rhs = np.column_stack([con.g[s] for con in constraints] + [m.mu])
-        x = _chol_solve(m.chol_second, rhs)
-        solved.append(x)
-        g_stack = rhs[:, :n_con]
-        m_mat += p * (g_stack.T @ x[:, :n_con])
-        b_vec -= p * (g_stack.T @ x[:, n_con])
+        for j, con in enumerate(constraints)
+    ], axis=-1)
+    x = _chol_solve(market.chol_second, g)
+    p = market.probs
+    m_mat = _fsum_states(p[:, None, None] * np.einsum("sni,snj->sij", g, x))
+    b_vec = -_fsum_states(p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions))
     m_mat = (m_mat + m_mat.T) / 2.0
 
     if not np.all(np.isfinite(m_mat)) or np.linalg.cond(m_mat) > CONDITION_LIMIT:
@@ -186,11 +193,7 @@ def solve_hedge(
     q_g = max(q - spanned_q, 0.0)
 
     scale = scaling_constant(q_g, objective)
-    weights = []
-    for (p, m), x in zip(market.states, solved):
-        direction = x[:, n_con] + x[:, :n_con] @ multipliers
-        weights.append(scale * direction)
-    policy = Policy(weights)
+    policy = Policy(scale * (market.smm_directions + x @ multipliers))
     sol = HedgeSolution(
         m_mat=m_mat, b_vec=b_vec, multipliers=multipliers,
         q_g=q_g, spanned_q=spanned_q,
@@ -205,12 +208,8 @@ def hedging_example_c1(market: DiscreteMarket, target) -> float:
     q = <mu, inv(A) mu>; must agree with the J=1 linear-system solve.
     """
     w = _per_state_vectors(target, market, "target")
-    mus = [m.mu for _, m in market.states]
-    wm = inner_product(w, mus, market)
-    waw = 0.0
-    for (p, m), ws in zip(market.states, w):
-        y = m.chol_second.T @ ws
-        waw += p * float(y @ y)
+    moments = evaluate(market, Policy(w))
+    wm, waw = moments.mean, moments.second_moment
     q = q_of(market)
     denom = waw - 2.0 * wm**2 + wm**2 * q
     if denom == 0.0:
@@ -235,16 +234,14 @@ def optimize_basis(
     """
     if not basis:
         raise DomainError("basis must be nonempty")
-    funcs = [_per_state_vectors(bf, market, f"basis {i}") for i, bf in enumerate(basis)]
-    n_basis = len(funcs)
-
-    mu_tilde = np.zeros(n_basis)
-    gram = np.zeros((n_basis, n_basis))
-    for s, (p, m) in enumerate(market.states):
-        b_stack = np.column_stack([f[s] for f in funcs])  # n_assets x n_basis
-        y = m.chol_second.T @ b_stack
-        gram += p * (y.T @ y)
-        mu_tilde += p * (b_stack.T @ m.mu)
+    # F stacks the basis functions as (S, n, K).
+    f = np.stack([
+        _per_state_vectors(bf, market, f"basis {i}") for i, bf in enumerate(basis)
+    ], axis=-1)
+    p = market.probs
+    y = np.einsum("sji,sjk->sik", market.chol_second, f)
+    gram = _fsum_states(p[:, None, None] * np.einsum("sik,sil->skl", y, y))
+    mu_tilde = _fsum_states(p[:, None] * np.einsum("sik,si->sk", f, market.mu))
     gram = (gram + gram.T) / 2.0
 
     try:
@@ -253,14 +250,7 @@ def optimize_basis(
         raise SingularBasis(f"basis Gram matrix is singular: {exc}") from None
     q_tilde = conditional_q(pseudo)
     coeff = scaling_constant(q_tilde, objective) * smm_direction(pseudo)
-
-    weights = []
-    for s in range(market.n_states):
-        w = np.zeros(market.n_assets)
-        for i, f in enumerate(funcs):
-            w += coeff[i] * f[s]
-        weights.append(w)
-    summary = evaluate(market, Policy(weights))
+    summary = evaluate(market, Policy(f @ coeff))
     return coeff, summary
 
 
@@ -282,6 +272,8 @@ def flatten_pseudo_assets(returns, features) -> np.ndarray:
         )
     if r.shape[0] < 1:
         raise ShapeMismatch("need at least one sample row")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(f))):
+        raise DomainError("returns and features must be finite")
     t_count, n = r.shape
     k = f.shape[1]
     return np.einsum("ti,tj->tij", r, f).reshape(t_count, n * k)

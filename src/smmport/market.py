@@ -1,16 +1,26 @@
 """Discrete-feature markets and policy evaluation.
 
-A market is a finite set of states, each carrying a probability and a
-:class:`MomentPair`. A policy assigns an asset-weight vector to every
-state. Unconditional moments of a policy are probability-weighted sums
-of the conditional ones, accumulated in fixed state order so results are
-bit-stable.
+A market is a finite set of S states, each carrying a probability and a
+conditional moment pair over n assets. It is stored as stacked,
+read-only arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``,
+``second_moment`` and their lower Cholesky factors (S, n, n), each
+factor from one batched factorization. At construction the market also
+solves, once and batched over states, the per-state quantities that
+every operation reuses: ``smm_directions`` inv(A_s) mu_s,
+``markowitz_directions`` inv(Sigma_s) mu_s, ``conditional_q``
+mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq`` mu_s' inv(Sigma_s) mu_s.
+
+A policy assigns an asset-weight vector to every state, stored as one
+(S, n) array. Unconditional moments of a policy are probability-weighted
+sums of per-state terms. Every sum across states is ``math.fsum`` of the
+terms, so it is correctly rounded and does not depend on the order of
+the states or on BLAS threading.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,11 +40,9 @@ from .moments import (
     PerfSummary,
     SharpeBudget,
     _lock,
-    conditional_q,
-    conditional_sharpe_sq,
+    _pair_stacks,
+    _tri_solve,
     scaling_constant,
-    smm_direction,
-    markowitz_direction,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -43,42 +51,165 @@ _EPS = float(np.finfo(np.float64).eps)
 # Maximum tolerated disagreement between the two q formulas.
 Q_CONSISTENCY_TOL = 1e-10
 
+# Per-state arrays of a market, each with the state axis first.
+_STACKS = (
+    "mu", "sigma", "second_moment", "chol_sigma", "chol_second",
+    "second_supplied", "smm_directions", "markowitz_directions",
+    "conditional_q", "conditional_sharpe_sq",
+)
+
+
+def _fsum_states(terms: np.ndarray):
+    """Correctly rounded sum of ``terms`` over its leading (state) axis."""
+    if terms.ndim == 1:
+        return math.fsum(terms.tolist())
+    columns = terms.reshape(terms.shape[0], -1).T.tolist()
+    return np.array([math.fsum(c) for c in columns]).reshape(terms.shape[1:])
+
+
+def _float_rows(rows) -> np.ndarray | None:
+    """``rows`` as a new float64 array, or None if ragged or not numeric."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+
+
+def _state_solves(mu, chol_sigma, chol_second) -> dict:
+    """Directions and squared ratios of every state, batched over states."""
+    out = {}
+    for direction, ratio, lower in (
+        ("markowitz_directions", "conditional_sharpe_sq", chol_sigma),
+        ("smm_directions", "conditional_q", chol_second),
+    ):
+        y = _tri_solve(lower, mu[..., None])
+        out[direction] = np.linalg.solve(np.swapaxes(lower, -1, -2), y)[..., 0]
+        out[ratio] = np.einsum("si,si->s", y[..., 0], y[..., 0])
+    return out
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    bad = ~((probs > 0.0) & (probs <= 1.0 + PROB_SUM_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"state {i}: probability {float(probs[i])} outside (0, 1]")
+    # fsum rounds once; the S * eps allowance covers probabilities
+    # normalized by a naively accumulated total.
+    total = math.fsum(probs.tolist())
+    if abs(total - 1.0) > max(PROB_SUM_TOL, probs.size * _EPS):
+        raise DomainError(f"state probabilities sum to {total!r}, not 1")
+
+
+def _parse_stacks(raw: list) -> tuple[np.ndarray, dict] | None:
+    """Probabilities and validated stacks of parsed states, or None if any
+    state fails (the caller then finds which)."""
+    try:
+        given = np.array(["second_moment" in e for e in raw])
+        probs = [e["prob"] for e in raw]
+        mu = _float_rows([e["mu"] for e in raw])
+        mats = _float_rows([
+            e["second_moment"] if s else e["sigma"] for e, s in zip(raw, given.tolist())
+        ])
+    except (TypeError, KeyError):
+        return None
+    stacks = None if mu is None or mats is None else _pair_stacks(mu, mats, given)
+    return None if stacks is None else (np.array([float(p) for p in probs]), stacks)
+
+
+def _parse_states(raw: list) -> list[tuple[float, MomentPair]]:
+    """Per-state parse; its errors name the first bad state. Runs only
+    after the batched parse has failed."""
+    states = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "prob" not in entry or "mu" not in entry:
+            raise DomainError(f'state {i}: needs "prob" and "mu"')
+        try:
+            if "second_moment" in entry:
+                pair = MomentPair.from_second_moment(entry["mu"], entry["second_moment"])
+            elif "sigma" in entry:
+                pair = MomentPair.from_covariance(entry["mu"], entry["sigma"])
+            else:
+                raise DomainError('needs "sigma" or "second_moment"')
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(f"state {i}: {exc}") from None
+        except DomainError as exc:
+            raise DomainError(f"state {i}: {exc}") from None
+        states.append((entry["prob"], pair))
+    return states
+
 
 class DiscreteMarket:
-    """Finite feature distribution: states of (probability, MomentPair)."""
+    """Finite feature distribution: S states of (probability, moment pair),
+    held as stacked read-only arrays with the state axis first.
 
-    __slots__ = ("states", "n_assets")
+    ``second_supplied`` marks the states given by their second moment
+    rather than their covariance, so ``to_dict`` keeps each state's
+    parameterization. ``states`` and ``moments`` are per-state
+    ``MomentPair`` views, built on first access.
+    """
+
+    __slots__ = ("probs",) + _STACKS + ("_states",)
 
     def __init__(self, states: Iterable[tuple[float, MomentPair]]):
         states = tuple((float(p), m) for p, m in states)
         if not states:
             raise DomainError("market needs at least one state")
-        for i, (p, m) in enumerate(states):
-            if not isinstance(m, MomentPair):
-                raise DomainError(f"state {i}: moments must be a MomentPair")
-            if not 0.0 < p <= 1.0 + PROB_SUM_TOL:
-                raise DomainError(f"state {i}: probability {p} outside (0, 1]")
-        # fsum rounds once; the S * eps allowance covers probabilities
-        # normalized by a naively accumulated total.
-        total = math.fsum(p for p, _ in states)
-        if abs(total - 1.0) > max(PROB_SUM_TOL, len(states) * _EPS):
-            raise DomainError(f"state probabilities sum to {total!r}, not 1")
-        n = states[0][1].n
-        for i, (_, m) in enumerate(states):
-            if m.n != n:
-                raise DimensionMismatch(
-                    f"state {i} has {m.n} assets, expected {n}"
-                )
-        self.states = states
-        self.n_assets = n
+        pairs = [m for _, m in states]
+        bad = [i for i, m in enumerate(pairs) if not isinstance(m, MomentPair)]
+        if bad:
+            raise DomainError(f"state {bad[0]}: moments must be a MomentPair")
+        probs = np.array([p for p, _ in states])
+        _check_probs(probs)
+        sizes = np.array([m.n for m in pairs])
+        if (sizes != sizes[0]).any():
+            i = int(np.argmax(sizes != sizes[0]))
+            raise DimensionMismatch(f"state {i} has {sizes[i]} assets, expected {sizes[0]}")
+        stacks = {
+            name: np.stack([getattr(m, name) for m in pairs])
+            for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second")
+        }
+        stacks["second_supplied"] = np.array([m.supplied == "second_moment" for m in pairs])
+        self._assign(probs, stacks)
+        self._states = states
+
+    def _assign(self, probs: np.ndarray, stacks: dict) -> None:
+        if "conditional_q" not in stacks:
+            stacks.update(_state_solves(
+                stacks["mu"], stacks["chol_sigma"], stacks["chol_second"]
+            ))
+        self.probs = _lock(probs)
+        for name in _STACKS:
+            setattr(self, name, _lock(stacks[name]))
+        self._states = None
+
+    @classmethod
+    def _from_stacks(cls, probs: np.ndarray, stacks: dict) -> "DiscreteMarket":
+        _check_probs(probs)
+        market = cls.__new__(cls)
+        market._assign(probs, stacks)
+        return market
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.probs.shape[0]
 
     @property
-    def probs(self) -> np.ndarray:
-        return np.array([p for p, _ in self.states])
+    def n_assets(self) -> int:
+        return self.mu.shape[1]
+
+    @property
+    def states(self) -> tuple[tuple[float, MomentPair], ...]:
+        """(probability, MomentPair) per state; a view built on first access."""
+        if self._states is None:
+            supplied = np.where(self.second_supplied, "second_moment", "sigma")
+            self._states = tuple(
+                (p, MomentPair._from_parts(*parts))
+                for p, *parts in zip(
+                    self.probs.tolist(), self.mu, self.sigma, self.second_moment,
+                    supplied.tolist(), self.chol_sigma, self.chol_second,
+                )
+            )
+        return self._states
 
     @property
     def moments(self) -> tuple[MomentPair, ...]:
@@ -90,78 +221,71 @@ class DiscreteMarket:
     def to_dict(self) -> dict:
         """JSON-ready form. Each state is emitted in the parameterization
         it was constructed from."""
-        out = []
-        for p, m in self.states:
-            state: dict = {"prob": p, "mu": m.mu.tolist()}
-            if m.supplied == "second_moment":
-                state["second_moment"] = m.second_moment.tolist()
-            else:
-                state["sigma"] = m.sigma.tolist()
-            out.append(state)
-        return {"states": out}
+        given = self.second_supplied
+        keys = np.where(given, "second_moment", "sigma").tolist()
+        mats = np.where(given[:, None, None], self.second_moment, self.sigma).tolist()
+        return {"states": [
+            {"prob": p, "mu": mu, key: mat}
+            for p, mu, key, mat in zip(self.probs.tolist(), self.mu.tolist(), keys, mats)
+        ]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMarket":
         """Parse ``{"states": [{"prob", "mu", "sigma"|"second_moment"}, ...]}``.
 
-        Numerical failures are re-raised naming the offending state.
+        All states are validated and factorized at once. If any state
+        fails, the states are re-validated one at a time, so the error
+        raised names the first offending state.
         """
         if not isinstance(data, dict) or "states" not in data:
             raise DomainError('market JSON must be an object with a "states" list')
         raw = data["states"]
         if not isinstance(raw, list) or not raw:
             raise DomainError('"states" must be a nonempty list')
-        states = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict) or "prob" not in entry or "mu" not in entry:
-                raise DomainError(f'state {i}: needs "prob" and "mu"')
-            try:
-                if "second_moment" in entry:
-                    pair = MomentPair.from_second_moment(
-                        entry["mu"], entry["second_moment"]
-                    )
-                elif "sigma" in entry:
-                    pair = MomentPair.from_covariance(entry["mu"], entry["sigma"])
-                else:
-                    raise DomainError('needs "sigma" or "second_moment"')
-            except NotPositiveDefinite as exc:
-                raise NotPositiveDefinite(f"state {i}: {exc}") from None
-            except DomainError as exc:
-                raise DomainError(f"state {i}: {exc}") from None
-            states.append((entry["prob"], pair))
-        return cls(states)
+        parsed = _parse_stacks(raw)
+        if parsed is None:
+            cls(_parse_states(raw))
+            raise SmmError("internal: batched validation rejected a valid market")
+        return cls._from_stacks(*parsed)
 
 
 class Policy:
-    """Per-state asset weight vectors."""
+    """Per-state asset weight vectors, held as one read-only (S, n) array."""
 
     __slots__ = ("weights",)
 
-    def __init__(self, weights: Sequence[np.ndarray]):
-        vecs = []
-        for i, w in enumerate(weights):
-            v = np.ascontiguousarray(w, dtype=np.float64)
-            if v.ndim != 1:
-                raise DimensionMismatch(f"state {i}: weights must be a vector")
-            if not np.all(np.isfinite(v)):
-                raise DomainError(f"state {i}: weights have non-finite entries")
-            vecs.append(_lock(v))
-        if not vecs:
-            raise DomainError("policy needs at least one state")
-        self.weights = tuple(vecs)
+    def __init__(self, weights):
+        rows = weights if isinstance(weights, np.ndarray) else list(weights)
+        w = _float_rows(rows)
+        if w is None or w.ndim != 2 or not w.shape[0] or not np.isfinite(w).all():
+            _reject_weights(rows)
+        self.weights = _lock(w)
 
     @property
     def n_states(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
     def scaled(self, c: float) -> "Policy":
-        return Policy([c * w for w in self.weights])
+        return Policy(c * self.weights)
 
     def as_matrix(self) -> np.ndarray:
-        return np.vstack(self.weights)
+        return self.weights.copy()
 
     def __repr__(self) -> str:
         return f"Policy(n_states={self.n_states})"
+
+
+def _reject_weights(rows) -> None:
+    """Raise the error naming the first malformed state of a policy."""
+    for i, w in enumerate(rows):
+        v = np.asarray(w, dtype=np.float64)
+        if v.ndim != 1 or v.shape != np.shape(rows[0]):
+            raise DimensionMismatch(
+                f"state {i}: weights must be a vector as long as state 0's"
+            )
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"state {i}: weights have non-finite entries")
+    raise DomainError("policy needs at least one state")
 
 
 def _check_dims(market: DiscreteMarket, policy: Policy) -> None:
@@ -169,11 +293,11 @@ def _check_dims(market: DiscreteMarket, policy: Policy) -> None:
         raise DimensionMismatch(
             f"policy has {policy.n_states} states, market has {market.n_states}"
         )
-    for i, w in enumerate(policy.weights):
-        if w.size != market.n_assets:
-            raise DimensionMismatch(
-                f"state {i}: policy has {w.size} assets, market has {market.n_assets}"
-            )
+    size = policy.weights.shape[1]
+    if size != market.n_assets:
+        raise DimensionMismatch(
+            f"state 0: policy has {size} assets, market has {market.n_assets}"
+        )
 
 
 def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSummary:
@@ -184,12 +308,10 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     it is nonnegative by construction.
     """
     _check_dims(market, policy)
-    mean = 0.0
-    second = 0.0
-    for (p, m), w in zip(market.states, policy.weights):
-        mean += p * float(m.mu @ w)
-        y = m.chol_second.T @ w
-        second += p * float(y @ y)
+    w = policy.weights
+    y = np.einsum("sji,sj->si", market.chol_second, w)
+    mean = _fsum_states(market.probs * np.einsum("si,si->s", market.mu, w))
+    second = _fsum_states(market.probs * np.einsum("si,si->s", y, y))
     return PerfSummary(mean=mean, second_moment=second, rfr=float(rfr))
 
 
@@ -201,12 +323,9 @@ def q_of(market: DiscreteMarket) -> float:
     disagreement beyond tolerance signals a numerically inconsistent
     market and raises.
     """
-    direct = 0.0
-    complement = 0.0
-    for p, m in market.states:
-        direct += p * conditional_q(m)
-        complement += p / (1.0 + conditional_sharpe_sq(m))
-    alt = 1.0 - complement
+    p = market.probs
+    direct = _fsum_states(p * market.conditional_q)
+    alt = 1.0 - _fsum_states(p / (1.0 + market.conditional_sharpe_sq))
     if abs(direct - alt) > Q_CONSISTENCY_TOL:
         raise SmmError(
             f"internal: q formulas disagree ({direct!r} vs {alt!r})"
@@ -216,9 +335,8 @@ def q_of(market: DiscreteMarket) -> float:
 
 def smm_policy(market: DiscreteMarket, objective: Objective) -> Policy:
     """Optimal policy: per-state direction inv(A_s) mu_s, one overall scale."""
-    q = q_of(market)
-    c = scaling_constant(q, objective)
-    return Policy([c * smm_direction(m) for _, m in market.states])
+    c = scaling_constant(q_of(market), objective)
+    return Policy(c * market.smm_directions)
 
 
 def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
@@ -226,10 +344,14 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
     single state-independent scale chosen optimally for ``objective``.
 
     Suboptimal in general: it misses the per-state down-levering of the
-    second-moment direction.
+    second-moment direction. With zeta_s^2 = mu_s' inv(Sigma_s) mu_s, the
+    unit policy has mean E[zeta^2] and second moment E[zeta^2 (1 + zeta^2)].
     """
-    unit = Policy([markowitz_direction(m) for _, m in market.states])
-    summary = evaluate(market, unit)
+    z = market.conditional_sharpe_sq
+    summary = PerfSummary(
+        mean=_fsum_states(market.probs * z),
+        second_moment=_fsum_states(market.probs * z * (1.0 + z)),
+    )
     if isinstance(objective, SharpeBudget):
         if summary.risk == 0.0:
             raise DegenerateMarket("unit covariance policy has zero risk")
@@ -244,20 +366,27 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
         c = summary.mean / summary.second_moment
     else:
         raise DomainError(f"unknown objective {objective!r}")
-    return unit.scaled(c)
+    return Policy(c * market.markowitz_directions)
 
 
 def merge_states(
     market: DiscreteMarket, subset: Iterable[int]
 ) -> tuple[DiscreteMarket, float]:
-    """Coarsen the market by merging the states in ``subset``.
+    """Coarsen the market by merging the states in ``subset``, which holds
+    Python or numpy integers (not bools).
 
     The merged state carries the probability-weighted mean and second
     moment of its members (second moments, not covariances, are affine in
     the mixture); its covariance is recovered as A - mu mu'. The merged
-    state is placed at the smallest merged index. Returns the new market
-    and delta_q = q(merged) - q(original), which is never positive.
+    state is placed at the smallest merged index; the other states keep
+    their already validated arrays. Returns the new market and
+    delta_q = q(merged) - q(original), which is never positive.
     """
+    subset = list(subset)
+    bad = [i for i in subset
+           if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))]
+    if bad:
+        raise InvalidSubset(f"subset index {bad[0]!r} is not an integer")
     idx = sorted(set(int(i) for i in subset))
     if len(idx) < 2:
         raise InvalidSubset("need at least two distinct states to merge")
@@ -265,26 +394,20 @@ def merge_states(
         raise InvalidSubset(
             f"subset {idx} out of range for {market.n_states} states"
         )
-    chosen = set(idx)
-    p_merged = 0.0
-    for i in idx:
-        p_merged += market.states[i][0]
-    if len(idx) == market.n_states:
-        p_merged = 1.0
-    mu_acc = np.zeros(market.n_assets)
-    a_acc = np.zeros((market.n_assets, market.n_assets))
-    for i in idx:
-        p, m = market.states[i]
-        mu_acc += p * m.mu
-        a_acc += p * m.second_moment
-    merged = MomentPair.from_second_moment(mu_acc / p_merged, a_acc / p_merged)
+    p = market.probs[idx]
+    p_merged = 1.0 if len(idx) == market.n_states else math.fsum(p.tolist())
+    mu_acc = _fsum_states(p[:, None] * market.mu[idx])
+    a_acc = _fsum_states(p[:, None, None] * market.second_moment[idx])
+    merged = DiscreteMarket([(1.0, MomentPair.from_second_moment(
+        mu_acc / p_merged, a_acc / p_merged
+    ))])
 
-    new_states: list[tuple[float, MomentPair]] = []
-    for i, (p, m) in enumerate(market.states):
-        if i == idx[0]:
-            new_states.append((p_merged, merged))
-        elif i not in chosen:
-            new_states.append((p, m))
-    new_market = DiscreteMarket(new_states)
-    delta_q = q_of(new_market) - q_of(market)
-    return new_market, delta_q
+    drop = idx[1:]
+    stacks = {}
+    for name in _STACKS:
+        stacks[name] = np.delete(getattr(market, name), drop, axis=0)
+        stacks[name][idx[0]] = getattr(merged, name)[0]
+    probs = np.delete(market.probs, drop)
+    probs[idx[0]] = p_merged
+    new_market = DiscreteMarket._from_stacks(probs, stacks)
+    return new_market, q_of(new_market) - q_of(market)

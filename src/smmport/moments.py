@@ -51,14 +51,30 @@ def _as_square(x, n: int, name: str) -> np.ndarray:
     return m
 
 
+def _asymmetry(mat: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: max |M - M'|, or 0 where that is within
+    ``ASYMMETRY_WARN * max(1, max |M|)``."""
+    asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    return np.where(asym > ASYMMETRY_WARN * scale, asym, 0.0)
+
+
 def _symmetrize(mat: np.ndarray, name: str) -> np.ndarray:
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if asym > ASYMMETRY_WARN * max(1.0, float(np.max(np.abs(mat)))):
+    asym = float(_asymmetry(mat)) if mat.size else 0.0
+    if asym:
         warnings.warn(
             f"{name} deviates from symmetry by {asym:.3e}; symmetrizing",
             stacklevel=3,
         )
     return (mat + mat.T) / 2.0
+
+
+def _pivots_ok(lower: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: is the smallest squared Cholesky pivot at
+    least ``PIVOT_RTOL`` times the largest diagonal entry?"""
+    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
+    diag = np.diagonal(mat, axis1=-2, axis2=-1)
+    return ~(np.min(pivots, axis=-1) < PIVOT_RTOL * np.max(diag, axis=-1))
 
 
 def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -72,8 +88,7 @@ def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
         lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite") from None
-    pivots = np.diagonal(lower) ** 2
-    if float(np.min(pivots)) < PIVOT_RTOL * float(np.max(np.diagonal(mat))):
+    if not _pivots_ok(lower, mat):
         raise NotPositiveDefinite(
             f"{name} is numerically singular (pivot below tolerance)"
         )
@@ -81,18 +96,64 @@ def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _tri_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b for a lower Cholesky factor L; b may be a matrix."""
+    """Solve L y = b for a lower Cholesky factor L; b may be a matrix.
+
+    L may also be a stack (S, n, n); b must then be (S, n, k), with the
+    trailing axis explicit, because numpy 1.x and 2.x broadcast a stacked
+    (S, n) right-hand side differently.
+    """
     return np.linalg.solve(lower, b)
 
 
 def _chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = b given the lower Cholesky factor L."""
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+    """Solve (L L') x = b given the lower Cholesky factor L (or a stack
+    of them, as for :func:`_tri_solve`)."""
+    return np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, b))
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
+    """:class:`MomentPair` construction for S states at once.
+
+    ``mu`` is (S, n) and ``mats`` (S, n, n): a state's second moment where
+    ``second_supplied`` is set, else its covariance. Returns the arrays a
+    MomentPair holds, stacked along a leading state axis, or None if any
+    state fails a check of MomentPair. For an accepted stack, warns once
+    for each asymmetric matrix, naming its state.
+    """
+    if mu.ndim != 2 or mu.shape[1] == 0 or mats.shape != mu.shape + mu.shape[1:]:
+        return None
+    if not (np.isfinite(mu).all() and np.isfinite(mats).all()):
+        return None
+    sym = (mats + np.swapaxes(mats, -1, -2)) / 2.0
+    outer = mu[:, :, None] * mu[:, None, :]
+    given = second_supplied[:, None, None]
+    sigma = np.where(given, sym - outer, sym)
+    second = np.where(given, sym, sym + outer)
+    try:
+        chol_sigma = np.linalg.cholesky(sigma)
+        chol_second = np.linalg.cholesky(second)
+    except np.linalg.LinAlgError:
+        return None
+    if not (_pivots_ok(chol_sigma, sigma).all() and _pivots_ok(chol_second, second).all()):
+        return None
+    asymmetry = _asymmetry(mats)
+    for i in np.flatnonzero(asymmetry).tolist():
+        name = "second_moment" if second_supplied[i] else "sigma"
+        warnings.warn(
+            f"state {i}: {name} deviates from symmetry by {asymmetry[i]:.3e}; "
+            "symmetrizing",
+            stacklevel=4,
+        )
+    return {
+        "mu": mu, "sigma": sigma, "second_moment": second,
+        "chol_sigma": chol_sigma, "chol_second": chol_second,
+        "second_supplied": second_supplied,
+    }
 
 
 class MomentPair:
@@ -130,6 +191,19 @@ class MomentPair:
         self.supplied = supplied
         self.chol_sigma = _lock(chol_sigma)
         self.chol_second = _lock(chol_second)
+
+    @classmethod
+    def _from_parts(cls, mu, sigma, second_moment, supplied,
+                    chol_sigma, chol_second) -> "MomentPair":
+        """Wrap already validated, read-only arrays without copying them."""
+        pair = object.__new__(cls)
+        pair.mu = mu
+        pair.sigma = sigma
+        pair.second_moment = second_moment
+        pair.supplied = supplied
+        pair.chol_sigma = chol_sigma
+        pair.chol_second = chol_second
+        return pair
 
     @classmethod
     def from_covariance(cls, mu, sigma) -> "MomentPair":

@@ -305,3 +305,37 @@ def test_repeated_runs_byte_identical(two_state_market_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+@pytest.mark.parametrize("which", ["returns", "features"])
+def test_flatten_rejects_non_finite_cells(capsys, tmp_path, which):
+    returns = tmp_path / "r.csv"
+    returns.write_text("r1,r2\n1.0,2.0\n3.0,4.0\n")
+    features = tmp_path / "f.csv"
+    features.write_text("f1\n1.0\n2.0\n")
+    bad = returns if which == "returns" else features
+    bad.write_text(bad.read_text().replace("2.0", "nan", 1))
+    out_path = tmp_path / "flat.csv"
+    rc, out, err = run_cli(
+        capsys, "flatten", "--returns", str(returns),
+        "--features", str(features), "--out", str(out_path),
+    )
+    assert rc == 2 and out == ""
+    assert "finite" in err
+    assert not out_path.exists()
+
+
+def test_flatten_ragged_row_names_path_and_row(capsys, tmp_path):
+    returns = tmp_path / "r.csv"
+    returns.write_text("r1,r2\n1.0,2.0\n3.0\n")
+    features = tmp_path / "f.csv"
+    features.write_text("f1\n1.0\n2.0\n")
+    out_path = tmp_path / "flat.csv"
+    rc, out, err = run_cli(
+        capsys, "flatten", "--returns", str(returns),
+        "--features", str(features), "--out", str(out_path),
+    )
+    assert rc == 2 and out == ""
+    assert f"{returns}:3" in err
+    assert "inhomogeneous" not in err
+    assert not out_path.exists()
