@@ -41,8 +41,8 @@ from .errors import (
 from .market import (
     DiscreteMarket,
     Policy,
-    _float_rows,
     _fsum_states,
+    _vector_rows,
     evaluate,
     q_of,
     smm_policy,
@@ -64,22 +64,13 @@ CONDITION_LIMIT = 1e12
 
 def _per_state_vectors(x, market: DiscreteMarket, name: str) -> np.ndarray:
     """Read-only (S, n) array from a Policy or a sequence of per-state vectors."""
-    rows = x.weights if isinstance(x, Policy) else x
-    if not isinstance(rows, np.ndarray):
-        rows = list(rows)
-    v = _float_rows(rows)
-    if v is not None and v.shape == (market.n_states, market.n_assets):
-        return _lock(v)
-    if len(rows) != market.n_states:
+    v = x.weights if isinstance(x, Policy) else _vector_rows(x, name)
+    if v.shape != (market.n_states, market.n_assets):
         raise DimensionMismatch(
-            f"{name} has {len(rows)} states, market has {market.n_states}"
+            f"{name} is {v.shape[0]} states of {v.shape[1]} assets, market has "
+            f"{market.n_states} of {market.n_assets}"
         )
-    for i, r in enumerate(rows):
-        if np.shape(r) != (market.n_assets,):
-            raise DimensionMismatch(
-                f"{name} state {i}: expected length {market.n_assets}"
-            )
-    raise DomainError(f"{name}: per-state vectors must be numeric")
+    return v
 
 
 def inner_product(x, y, market: DiscreteMarket) -> float:

@@ -40,13 +40,13 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
 from .moments import (
+    MomentPair,
     _as_square,
     _as_vector,
     _chol_solve,
     _lock,
     _symmetrize,
     _tri_solve,
-    spd_cholesky,
 )
 
 BLOCK_SIZE = 1 << 16
@@ -76,21 +76,21 @@ class LcemModel:
         if not np.all(np.isfinite(b_mat)):
             raise DomainError("B has non-finite entries")
         n, k = b_mat.shape
-        sig = _symmetrize(_as_square(sigma, n, "sigma"), "sigma")
+        # with mu = 0, A = Sigma: the moment-pair check validates Sigma
+        residual = MomentPair(np.zeros(n), sigma=sigma)
         fmean = _as_vector(feature_mean, "feature_mean")
         if fmean.size != k:
             raise DomainError(f"feature_mean must have length {k}")
         fcov = _symmetrize(_as_square(feature_cov, k, "feature_cov"),
                            "feature_cov")
 
-        chol = spd_cholesky(sig, "sigma")
+        chol = self.chol_sigma = residual.chol_sigma
         factor = _psd_factor(fcov, "feature_cov")
-        self.chol_sigma = _lock(chol)
         self.feature_factor = _lock(factor)
         self.signal_factor = _lock(_tri_solve(chol, b_mat @ factor))
         self.signal_offset = _lock(_tri_solve(chol, b_mat @ fmean))
         self.B = _lock(b_mat)
-        self.sigma = _lock(sig)
+        self.sigma = residual.sigma
         self.feature_mean = _lock(fmean)
         self.feature_cov = _lock(fcov)
 

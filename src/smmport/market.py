@@ -20,6 +20,8 @@ the states or on BLAS threading.
 from __future__ import annotations
 
 import math
+import numbers
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidSubset,
-    NotPositiveDefinite,
     SmmError,
 )
 from .moments import (
@@ -100,9 +101,9 @@ def _check_probs(probs: np.ndarray) -> None:
         raise DomainError(f"state probabilities sum to {total!r}, not 1")
 
 
-def _parse_stacks(raw: list) -> tuple[np.ndarray, dict] | None:
-    """Probabilities and validated stacks of parsed states, or None if any
-    state fails (the caller then finds which)."""
+def _parse(raw: list) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Probabilities, validated stacks and per-state asymmetry of raw JSON
+    states. Raises the error of the first failing check, naming no state."""
     try:
         given = np.array(["second_moment" in e for e in raw])
         probs = [e["prob"] for e in raw]
@@ -111,31 +112,19 @@ def _parse_stacks(raw: list) -> tuple[np.ndarray, dict] | None:
             e["second_moment"] if s else e["sigma"] for e, s in zip(raw, given.tolist())
         ])
     except (TypeError, KeyError):
-        return None
-    stacks = None if mu is None or mats is None else _pair_stacks(mu, mats, given)
-    return None if stacks is None else (np.array([float(p) for p in probs]), stacks)
-
-
-def _parse_states(raw: list) -> list[tuple[float, MomentPair]]:
-    """Per-state parse; its errors name the first bad state. Runs only
-    after the batched parse has failed."""
-    states = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "prob" not in entry or "mu" not in entry:
-            raise DomainError(f'state {i}: needs "prob" and "mu"')
-        try:
-            if "second_moment" in entry:
-                pair = MomentPair.from_second_moment(entry["mu"], entry["second_moment"])
-            elif "sigma" in entry:
-                pair = MomentPair.from_covariance(entry["mu"], entry["sigma"])
-            else:
-                raise DomainError('needs "sigma" or "second_moment"')
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"state {i}: {exc}") from None
-        except DomainError as exc:
-            raise DomainError(f"state {i}: {exc}") from None
-        states.append((entry["prob"], pair))
-    return states
+        raise DomainError('needs "prob", "mu", and "sigma" or "second_moment"') from None
+    # np.array would read None as NaN and a numeric string as its value;
+    # checking each distinct type once keeps this off the per-state path
+    types = set(map(type, probs))
+    if not all(issubclass(t, numbers.Real) and t is not bool for t in types):
+        raise DomainError("prob must be a number")
+    if mu is None or mu.ndim != 2 or not mu.shape[1]:
+        raise DimensionMismatch("mu must be a nonempty vector as long as state 0's")
+    if mats is None or mats.shape != mu.shape + mu.shape[1:]:
+        n = mu.shape[1]
+        # in a replay the last state is the one under test
+        raise DomainError(f"{'second_moment' if given[-1] else 'sigma'} must be {n}x{n}")
+    return (np.array(probs, dtype=np.float64), *_pair_stacks(mu, mats, given))
 
 
 class DiscreteMarket:
@@ -233,20 +222,35 @@ class DiscreteMarket:
     def from_dict(cls, data: dict) -> "DiscreteMarket":
         """Parse ``{"states": [{"prob", "mu", "sigma"|"second_moment"}, ...]}``.
 
-        All states are validated and factorized at once. If any state
-        fails, the states are re-validated one at a time, so the error
-        raised names the first offending state.
+        All states are validated and factorized at once, by one parse
+        and the batched check of :mod:`smmport.moments`. If that fails,
+        each state is replayed through the same parse together with state
+        0 (so its width is checked against state 0's), and the first
+        failure is raised again as ``state i: ...``. Warns once for each
+        asymmetric matrix, naming its state.
         """
         if not isinstance(data, dict) or "states" not in data:
             raise DomainError('market JSON must be an object with a "states" list')
         raw = data["states"]
         if not isinstance(raw, list) or not raw:
             raise DomainError('"states" must be a nonempty list')
-        parsed = _parse_stacks(raw)
-        if parsed is None:
-            cls(_parse_states(raw))
-            raise SmmError("internal: batched validation rejected a valid market")
-        return cls._from_stacks(*parsed)
+        try:
+            probs, stacks, asymmetry = _parse(raw)
+        except SmmError:
+            for i, entry in enumerate(raw):
+                try:
+                    _parse([raw[0], entry])
+                except SmmError as exc:
+                    raise type(exc)(f"state {i}: {exc}") from None
+            raise
+        for i in np.flatnonzero(asymmetry).tolist():
+            name = "second_moment" if stacks["second_supplied"][i] else "sigma"
+            warnings.warn(
+                f"state {i}: {name} deviates from symmetry by {asymmetry[i]:.3e}; "
+                "symmetrizing",
+                stacklevel=2,
+            )
+        return cls._from_stacks(probs, stacks)
 
 
 class Policy:
@@ -255,11 +259,7 @@ class Policy:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        rows = weights if isinstance(weights, np.ndarray) else list(weights)
-        w = _float_rows(rows)
-        if w is None or w.ndim != 2 or not w.shape[0] or not np.isfinite(w).all():
-            _reject_weights(rows)
-        self.weights = _lock(w)
+        self.weights = _vector_rows(weights, "weights")
 
     @property
     def n_states(self) -> int:
@@ -275,17 +275,23 @@ class Policy:
         return f"Policy(n_states={self.n_states})"
 
 
-def _reject_weights(rows) -> None:
-    """Raise the error naming the first malformed state of a policy."""
-    for i, w in enumerate(rows):
-        v = np.asarray(w, dtype=np.float64)
+def _vector_rows(rows, name: str) -> np.ndarray:
+    """``rows``, one vector per state, as a new read-only (S, n) array.
+
+    A ragged or non-finite input raises an error naming ``name`` and its
+    first bad state.
+    """
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    w = _float_rows(rows)
+    if w is not None and w.ndim == 2 and w.shape[0] and np.isfinite(w).all():
+        return _lock(w)
+    for i, r in enumerate(rows):
+        v = np.asarray(r, dtype=np.float64)
         if v.ndim != 1 or v.shape != np.shape(rows[0]):
-            raise DimensionMismatch(
-                f"state {i}: weights must be a vector as long as state 0's"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"state {i}: weights have non-finite entries")
-    raise DomainError("policy needs at least one state")
+            raise DimensionMismatch(f"{name}: state {i}: not a vector as long as state 0's")
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name}: state {i}: non-finite entries")
+    raise DomainError(f"{name}: needs at least one state")
 
 
 def _check_dims(market: DiscreteMarket, policy: Policy) -> None:

@@ -12,6 +12,12 @@ ratio mu' inv(A) mu of the locally optimal allocation, and the
 ``Objective`` variants carry the scalars that turn a unit direction into
 a fully scaled policy.
 
+Every moment pair is validated by one batched check, ``_pair_stacks``:
+finite inputs, symmetrization, and a Cholesky factorization of both
+Sigma and A whose smallest pivot must pass ``PIVOT_RTOL``. A
+``MomentPair`` runs it on a stack of one; a market runs it on all of its
+states at once (see :mod:`smmport.market`).
+
 All types are immutable after construction and all functions are pure.
 """
 
@@ -77,24 +83,6 @@ def _pivots_ok(lower: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return ~(np.min(pivots, axis=-1) < PIVOT_RTOL * np.max(diag, axis=-1))
 
 
-def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor, rejecting near-singular matrices.
-
-    The factorization fails, or its smallest pivot falls below
-    ``PIVOT_RTOL`` times the largest diagonal entry, raises
-    :class:`NotPositiveDefinite`.
-    """
-    try:
-        lower = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from None
-    if not _pivots_ok(lower, mat):
-        raise NotPositiveDefinite(
-            f"{name} is numerically singular (pivot below tolerance)"
-        )
-    return lower
-
-
 def _tri_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L y = b for a lower Cholesky factor L; b may be a matrix.
 
@@ -117,43 +105,45 @@ def _lock(a: np.ndarray) -> np.ndarray:
 
 
 def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
-    """:class:`MomentPair` construction for S states at once.
+    """Validate and factorize S moment pairs at once: the one place the
+    checks of a moment pair live.
 
     ``mu`` is (S, n) and ``mats`` (S, n, n): a state's second moment where
-    ``second_supplied`` is set, else its covariance. Returns the arrays a
-    MomentPair holds, stacked along a leading state axis, or None if any
-    state fails a check of MomentPair. For an accepted stack, warns once
-    for each asymmetric matrix, naming its state.
+    ``second_supplied`` is set, else its covariance; callers check these
+    shapes. The checks run in order over the whole stack: finite ``mu``,
+    finite ``mats``, then a Cholesky factorization of every covariance
+    and then of every second moment, each with the ``PIVOT_RTOL`` pivot
+    test. The first failing check raises its error (:class:`DomainError`
+    or :class:`NotPositiveDefinite`) without naming a state.
+
+    Returns the arrays a MomentPair holds, stacked along a leading state
+    axis, and each state's asymmetry of ``mats`` (0 where within
+    tolerance), for the caller to warn about.
     """
-    if mu.ndim != 2 or mu.shape[1] == 0 or mats.shape != mu.shape + mu.shape[1:]:
-        return None
-    if not (np.isfinite(mu).all() and np.isfinite(mats).all()):
-        return None
+    if not np.isfinite(mu).all():
+        raise DomainError("mu has non-finite entries")
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        name = "second_moment" if second_supplied[np.argmin(finite)] else "sigma"
+        raise DomainError(f"{name} has non-finite entries")
     sym = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     outer = mu[:, :, None] * mu[:, None, :]
     given = second_supplied[:, None, None]
-    sigma = np.where(given, sym - outer, sym)
-    second = np.where(given, sym, sym + outer)
-    try:
-        chol_sigma = np.linalg.cholesky(sigma)
-        chol_second = np.linalg.cholesky(second)
-    except np.linalg.LinAlgError:
-        return None
-    if not (_pivots_ok(chol_sigma, sigma).all() and _pivots_ok(chol_second, second).all()):
-        return None
-    asymmetry = _asymmetry(mats)
-    for i in np.flatnonzero(asymmetry).tolist():
-        name = "second_moment" if second_supplied[i] else "sigma"
-        warnings.warn(
-            f"state {i}: {name} deviates from symmetry by {asymmetry[i]:.3e}; "
-            "symmetrizing",
-            stacklevel=4,
-        )
-    return {
-        "mu": mu, "sigma": sigma, "second_moment": second,
-        "chol_sigma": chol_sigma, "chol_second": chol_second,
+    stacks = {
+        "mu": mu, "sigma": np.where(given, sym - outer, sym),
+        "second_moment": np.where(given, sym, sym + outer),
         "second_supplied": second_supplied,
     }
+    for name, chol in (("sigma", "chol_sigma"), ("second_moment", "chol_second")):
+        try:
+            stacks[chol] = np.linalg.cholesky(stacks[name])
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(f"{name} is not positive definite") from None
+        if not _pivots_ok(stacks[chol], stacks[name]).all():
+            raise NotPositiveDefinite(
+                f"{name} is numerically singular (pivot below tolerance)"
+            )
+    return stacks, _asymmetry(mats)
 
 
 class MomentPair:
@@ -171,26 +161,25 @@ class MomentPair:
     def __init__(self, mu, sigma=None, second_moment=None):
         if (sigma is None) == (second_moment is None):
             raise DomainError("supply exactly one of sigma or second_moment")
-        mu = _as_vector(mu, "mu")
-        n = mu.size
-        if sigma is not None:
-            sig = _symmetrize(_as_square(sigma, n, "sigma"), "sigma")
-            second = sig + np.outer(mu, mu)
-            supplied = "sigma"
-        else:
-            second = _symmetrize(
-                _as_square(second_moment, n, "second_moment"), "second_moment"
+        supplied = "sigma" if second_moment is None else "second_moment"
+        mu = np.array(mu, dtype=np.float64)
+        if mu.ndim != 1 or mu.size == 0:
+            raise DomainError("mu must be a nonempty 1-d vector")
+        mat = np.asarray(sigma if second_moment is None else second_moment,
+                         dtype=np.float64)
+        if mat.shape != (mu.size, mu.size):
+            raise DomainError(f"{supplied} must be {mu.size}x{mu.size}, got {mat.shape}")
+        stacks, asymmetry = _pair_stacks(
+            mu[None], mat[None], np.array([supplied == "second_moment"])
+        )
+        if asymmetry[0]:
+            warnings.warn(
+                f"{supplied} deviates from symmetry by {asymmetry[0]:.3e}; symmetrizing",
+                stacklevel=2,
             )
-            sig = second - np.outer(mu, mu)
-            supplied = "second_moment"
-        chol_sigma = spd_cholesky(sig, "sigma")
-        chol_second = spd_cholesky(second, "second_moment")
-        self.mu = _lock(mu)
-        self.sigma = _lock(sig)
-        self.second_moment = _lock(second)
         self.supplied = supplied
-        self.chol_sigma = _lock(chol_sigma)
-        self.chol_second = _lock(chol_second)
+        for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second"):
+            setattr(self, name, _lock(stacks[name][0]))
 
     @classmethod
     def _from_parts(cls, mu, sigma, second_moment, supplied,

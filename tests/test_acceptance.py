@@ -122,7 +122,8 @@ def test_criterion_3_pythagorean_decomposition():
 
 def test_criterion_4_lcem_reproduction(lcem_model_path):
     started = time.perf_counter()
-    model = LcemModel.from_dict(json.load(open(lcem_model_path)))
+    with open(lcem_model_path) as fh:
+        model = LcemModel.from_dict(json.load(fh))
     cfg = McConfig(n_samples=2_000_000, seed=42, n_streams=1)
     report = compare_policies(model, cfg, risk_budget=1.0)
 

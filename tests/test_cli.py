@@ -41,7 +41,8 @@ def test_solve_discrete_round_trip(capsys, two_state_market_path):
     rc, out, _ = run_cli(capsys, "solve-discrete", "--market", two_state_market_path)
     assert rc == 0
     doc = json.loads(out)
-    market = DiscreteMarket.from_dict(json.load(open(two_state_market_path)))
+    with open(two_state_market_path) as fh:
+        market = DiscreteMarket.from_dict(json.load(fh))
     policy = Policy([np.asarray(w, dtype=np.float64) for w in doc["policy"]])
     summary = evaluate(market, policy, rfr=doc["summary"]["rfr"])
     # serialized with 17 significant digits: the reported summary must
@@ -115,6 +116,33 @@ def test_malformed_json_is_validation_error(capsys, tmp_path):
     path.write_text("{not json")
     rc, _, err = run_cli(capsys, "solve-discrete", "--market", str(path))
     assert rc == 2 and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("prob", [None, [0.5], "0.5"])
+def test_non_numeric_prob_is_validation_error(capsys, tmp_path, prob):
+    state = {"mu": [0.1], "sigma": [[1.0]]}
+    market = {"states": [dict(state, prob=0.5), dict(state, prob=prob)]}
+    path = write_json(tmp_path / "prob.json", market)
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", path)
+    assert rc == 2 and out == ""
+    assert "state 1: prob must be a number" in err
+
+
+@pytest.mark.parametrize("constraint, message", [
+    ({"kind": "raw", "g": [[math.nan, 0.0], [0.0, 1.0]]},
+     "constraint 0: g: state 0: non-finite entries"),
+    ({"kind": "zero_covariance", "target": [[1.0, 0.0], [math.inf, 0.0]]},
+     "constraint 0: target: state 1: non-finite entries"),
+], ids=["g", "target"])
+def test_non_finite_constraint_is_validation_error(
+    capsys, tmp_path, two_state_market_path, constraint, message
+):
+    path = write_json(tmp_path / "constraints.json", {"constraints": [constraint]})
+    rc, out, err = run_cli(
+        capsys, "solve-discrete", "--market", two_state_market_path, "--constraints", path
+    )
+    assert rc == 2 and out == ""
+    assert message in err
 
 
 def test_degenerate_market_is_numerical_error(capsys, tmp_path):

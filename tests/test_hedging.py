@@ -306,6 +306,17 @@ def test_optimize_basis_singular():
         optimize_basis(market, [], Kelly())
 
 
+def test_non_finite_per_state_vectors_rejected(two_state_market):
+    good = [[1.0, 0.0], [0.0, 1.0]]
+    bad = [[1.0, 0.0], [0.0, math.nan]]
+    with pytest.raises(DomainError, match="y: state 1: non-finite"):
+        inner_product(good, bad, two_state_market)
+    with pytest.raises(DomainError, match="basis 1: state 1: non-finite"):
+        optimize_basis(two_state_market, [good, bad], Kelly())
+    with pytest.raises(DomainError, match="target: state 1: non-finite"):
+        HedgeConstraint.zero_covariance(two_state_market, bad)
+
+
 def test_flatten_shapes_and_values():
     single = flatten_pseudo_assets([[2.0], [3.0]], [[5.0], [7.0]])
     np.testing.assert_array_equal(single, [[10.0], [21.0]])

@@ -13,6 +13,7 @@ import pytest
 from smmport import (
     DimensionMismatch,
     DiscreteMarket,
+    DomainError,
     HedgeConstraint,
     InvalidSubset,
     Kelly,
@@ -266,6 +267,44 @@ def test_pivot_below_tolerance_names_its_state():
         DiscreteMarket.from_dict(_diag_market(1000, 617, 0.999))
     # just above the tolerance the same market is valid
     assert DiscreteMarket.from_dict(_diag_market(1000, 617, 1.001)).n_states == 1000
+
+
+def _non_pd_second_moment(state):
+    del state["sigma"]
+    state["second_moment"] = [[1.0, 2.0], [2.0, 1.0]]
+
+
+# Each way a single state of a market can be bad, with the error it raises.
+BAD_STATE = {
+    "missing mu": (DomainError, lambda s: s.pop("mu")),
+    "missing matrix": (DomainError, lambda s: s.pop("sigma")),
+    "null prob": (DomainError, lambda s: s.update(prob=None)),
+    "short mu": (DimensionMismatch, lambda s: s.update(mu=[0.1])),
+    "non-square matrix": (DomainError, lambda s: s.update(sigma=[[1.0, 0.0]])),
+    "nan mu": (DomainError, lambda s: s.update(mu=[0.1, float("nan")])),
+    "nan matrix": (DomainError, lambda s: s.update(sigma=[[float("nan"), 0.0], [0.0, 1.0]])),
+    "non-pd sigma": (NotPositiveDefinite, lambda s: s.update(sigma=[[1.0, 2.0], [2.0, 1.0]])),
+    "non-pd second_moment": (NotPositiveDefinite, _non_pd_second_moment),
+    "pivot below tolerance": (
+        NotPositiveDefinite, lambda s: s.update(sigma=[[1.0, 0.0], [0.0, 0.999 * PIVOT_RTOL]])),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_STATE))
+def test_first_bad_state_is_named_for_every_check(kind):
+    # state 17 fails `kind` and state 41 fails each other check in turn:
+    # the error is always `kind`'s, and it names state 17
+    error, spoil = BAD_STATE[kind]
+    for later in BAD_STATE:
+        if later == kind:
+            continue
+        states = [{"prob": 0.02, "mu": [0.1, 0.2], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+                  for _ in range(50)]
+        spoil(states[17])
+        BAD_STATE[later][1](states[41])
+        with pytest.raises(error, match="^state 17: ") as caught:
+            DiscreteMarket.from_dict({"states": states})
+        assert type(caught.value) is error
 
 
 def test_asymmetric_state_warns_once():
