@@ -13,83 +13,65 @@ Subcommands::
 
 Results go to standard output as JSON (CSV for leverage-audit). Exit
 status: 0 success, 1 numerical failure (e.g. a non-positive-definite
-state), 2 invalid input. Identical invocations produce byte-identical
-output; numbers are serialized with 17 significant digits so values
-round-trip losslessly.
+state), 2 invalid input; :mod:`smmport.errors` states which errors are
+which. Identical invocations produce byte-identical output; numbers are
+serialized with 17 significant digits so values round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .errors import (
-    DegenerateMarket,
-    DimensionMismatch,
-    DomainError,
-    InvalidSubset,
-    NotPositiveDefinite,
-    ShapeMismatch,
-    SingularBasis,
-    SingularConstraintSystem,
-    SmmError,
-)
+from .errors import DomainError, SmmError
 from .hedging import constraints_from_dict, flatten_pseudo_assets, solve_hedge
 from .lcem import LcemComparison, LcemModel, McConfig, compare_policies
 from .leverage import LeverageSample, leverage_curve
 from .market import DiscreteMarket, evaluate, merge_states, q_of, smm_policy
 from .moments import Kelly, MeanVariance, SharpeBudget, optimal_objective_value
 
-# LinAlgError subclasses ValueError, so this tuple is matched first.
-_NUMERICAL_ERRORS = (
-    NotPositiveDefinite,
-    SingularConstraintSystem,
-    SingularBasis,
-    DegenerateMarket,
-    np.linalg.LinAlgError,
-)
-_VALIDATION_ERRORS = (
-    DomainError,
-    DimensionMismatch,
-    ShapeMismatch,
-    InvalidSubset,
-    ValueError,
-    OSError,
-)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return _NON_FINITE.get(text, text)
 
 
 def render_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
 
     def emit(o) -> str:
+        # floats first: they are nearly every value rendered
+        if isinstance(o, float):
+            return _fmt(o)
         if isinstance(o, dict):
             items = ", ".join(f"{json.dumps(str(k))}: {emit(v)}" for k, v in o.items())
             return "{" + items + "}"
         if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(emit(v) for v in o) + "]"
+            return "[" + ", ".join(map(emit, o)) + "]"
         if isinstance(o, bool):
             return "true" if o else "false"
         if isinstance(o, (int, np.integer)):
             return str(int(o))
-        if isinstance(o, (float, np.floating)):
+        if isinstance(o, np.floating):
             return _fmt(float(o))
         if o is None:
             return "null"
         return json.dumps(str(o))
 
     return emit(obj) + "\n"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """A header line, then one line of 17-digit numbers per row."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _load_json(path: str) -> dict:
@@ -108,22 +90,13 @@ def _objective_from_args(args) -> SharpeBudget | MeanVariance | Kelly:
     return Kelly()
 
 
-def _objective_dict(obj) -> dict:
-    if isinstance(obj, SharpeBudget):
-        return {"kind": "sharpe", "risk_budget": obj.risk_budget,
-                "risk_free": obj.risk_free}
-    if isinstance(obj, MeanVariance):
-        return {"kind": "mean-variance", "risk_param": obj.risk_param}
-    return {"kind": "kelly"}
-
-
 def _cmd_solve_discrete(args) -> str:
     market = DiscreteMarket.from_dict(_load_json(args.market))
     objective = _objective_from_args(args)
     rfr = args.risk_free if args.objective == "sharpe" else 0.0
     out = {
         "command": "solve-discrete",
-        "objective": _objective_dict(objective),
+        "objective": {"kind": args.objective, **dataclasses.asdict(objective)},
         "q": q_of(market),
     }
     if args.constraints:
@@ -224,13 +197,8 @@ def _cmd_leverage_audit(args) -> str:
     curve = leverage_curve(
         sample, grid=grid, bandwidth=args.bandwidth, floor=args.floor
     )
-    lines = ["x,m_hat,s_hat,lever_hat"]
-    for i in range(curve.n_points):
-        lines.append(
-            f"{_fmt(curve.grid[i])},{_fmt(curve.m_hat[i])},"
-            f"{_fmt(curve.s_hat[i])},{_fmt(curve.lever_hat[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = (curve.grid, curve.m_hat, curve.s_hat, curve.lever_hat)
+    return _csv_text(["x", "m_hat", "s_hat", "lever_hat"], np.column_stack(columns).tolist())
 
 
 def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -262,9 +230,7 @@ def _cmd_flatten(args) -> str:
     flat = flatten_pseudo_assets(returns, features)
     names = [f"{rn}*{fn}" for rn in r_names for fn in f_names]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in flat:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_text(names, flat.tolist()))
     out = {
         "command": "flatten",
         "rows": int(flat.shape[0]),
@@ -326,15 +292,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (SmmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SmmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # LinAlgError is a ValueError, but it is not invalid input
+        invalid = isinstance(exc, (ValueError, OSError))
+        return 2 if invalid and not isinstance(exc, np.linalg.LinAlgError) else 1
     sys.stdout.write(payload)
     return 0
 

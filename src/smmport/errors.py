@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Input errors subclass ``ValueError``: the CLI exits 2 for them, as for
+any other ``ValueError`` or ``OSError``. The others are numerical
+failures on valid input, and the CLI exits 1 for them and for
+``numpy.linalg.LinAlgError``, which is a ``ValueError`` but not invalid
+input.
+"""
 
 
 class SmmError(Exception):

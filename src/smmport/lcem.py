@@ -71,8 +71,8 @@ class LcemModel:
 
     def __init__(self, B, sigma, feature_mean, feature_cov):
         b_mat = np.ascontiguousarray(B, dtype=np.float64)
-        if b_mat.ndim != 2:
-            raise DomainError("B must be a 2-d matrix")
+        if b_mat.ndim != 2 or not b_mat.size:
+            raise DomainError("B must be a nonempty 2-d matrix")
         if not np.all(np.isfinite(b_mat)):
             raise DomainError("B has non-finite entries")
         n, k = b_mat.shape

@@ -122,7 +122,7 @@ def _parse(raw: list) -> tuple[np.ndarray, dict, np.ndarray]:
         raise DimensionMismatch("mu must be a nonempty vector as long as state 0's")
     if mats is None or mats.shape != mu.shape + mu.shape[1:]:
         n = mu.shape[1]
-        # in a replay the last state is the one under test
+        # when a bad state is being named, it is the last state parsed
         raise DomainError(f"{'second_moment' if given[-1] else 'sigma'} must be {n}x{n}")
     return (np.array(probs, dtype=np.float64), *_pair_stacks(mu, mats, given))
 
@@ -224,10 +224,11 @@ class DiscreteMarket:
 
         All states are validated and factorized at once, by one parse
         and the batched check of :mod:`smmport.moments`. If that fails,
-        each state is replayed through the same parse together with state
-        0 (so its width is checked against state 0's), and the first
-        failure is raised again as ``state i: ...``. Warns once for each
-        asymmetric matrix, naming its state.
+        bisection finds the first bad state: each probe parses state 0
+        (so widths are checked against state 0's) with the left half of
+        the remaining range, and the half that fails is kept, down to one
+        state, whose error is raised again as ``state i: ...``. Warns once
+        for each asymmetric matrix, naming its state.
         """
         if not isinstance(data, dict) or "states" not in data:
             raise DomainError('market JSON must be an object with a "states" list')
@@ -237,11 +238,18 @@ class DiscreteMarket:
         try:
             probs, stacks, asymmetry = _parse(raw)
         except SmmError:
-            for i, entry in enumerate(raw):
+            lo, hi = 0, len(raw)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
                 try:
-                    _parse([raw[0], entry])
-                except SmmError as exc:
-                    raise type(exc)(f"state {i}: {exc}") from None
+                    _parse([raw[0], *raw[lo:mid]])
+                    lo = mid
+                except SmmError:
+                    hi = mid
+            try:
+                _parse([raw[0], raw[lo]])
+            except SmmError as exc:
+                raise type(exc)(f"state {lo}: {exc}") from None
             raise
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"

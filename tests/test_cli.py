@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import smmport
+import smmport.cli
+import smmport.errors
 from smmport import DiscreteMarket, Policy, evaluate
-from smmport.cli import main
+from smmport.cli import main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -367,3 +369,103 @@ def test_flatten_ragged_row_names_path_and_row(capsys, tmp_path):
     assert f"{returns}:3" in err
     assert "inhomogeneous" not in err
     assert not out_path.exists()
+
+
+# Exit status for each error a subcommand can raise; a new error class
+# must be added here with the status it should give.
+EXIT_CODES = {
+    "SmmError": 1,
+    "NotPositiveDefinite": 1,
+    "DegenerateMarket": 1,
+    "SingularConstraintSystem": 1,
+    "SingularBasis": 1,
+    "LinAlgError": 1,
+    "DomainError": 2,
+    "DimensionMismatch": 2,
+    "ShapeMismatch": 2,
+    "InvalidSubset": 2,
+    "ValueError": 2,
+    "FileNotFoundError": 2,
+}
+ERROR_CLASSES = [
+    cls for cls in vars(smmport.errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+] + [np.linalg.LinAlgError, ValueError, FileNotFoundError]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_per_error_class(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(smmport.cli, "_cmd_merge_states", fail)
+    rc, out, err = run_cli(capsys, "merge-states", "--market", "m.json", "--subset", "0")
+    assert rc == EXIT_CODES[error.__name__]
+    assert out == "" and err == "error: boom\n"
+
+
+def _render_json_oracle(obj) -> str:
+    """The emitter as first written, type by type: the oracle for render_json."""
+
+    def fmt(x: float) -> str:
+        if x != x:
+            return "NaN"
+        if x in (float("inf"), float("-inf")):
+            return "Infinity" if x > 0 else "-Infinity"
+        return format(x, ".17g")
+
+    def emit(o) -> str:
+        if isinstance(o, dict):
+            items = ", ".join(f"{json.dumps(str(k))}: {emit(v)}" for k, v in o.items())
+            return "{" + items + "}"
+        if isinstance(o, (list, tuple)):
+            return "[" + ", ".join(emit(v) for v in o) + "]"
+        if isinstance(o, bool):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return fmt(float(o))
+        if o is None:
+            return "null"
+        return json.dumps(str(o))
+
+    return emit(obj) + "\n"
+
+
+def test_render_json_matches_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf,
+                         -0.0, 5e-324, 1e308]),
+    )
+    scalars = st.one_of(
+        floats,
+        floats.map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.integers(),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans(),
+        st.none(),
+        st.text(),
+        st.sampled_from(['"quoted"', "back\\slash", "tab\tand\nnewline", "ünïcødé ∑ 😀"]),
+    )
+    keys = st.one_of(st.text(), st.integers())
+    trees = st.recursive(
+        scalars,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(keys, kids, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(trees)
+    def check(obj):
+        assert render_json(obj) == _render_json_oracle(obj)
+
+    check()

@@ -53,6 +53,14 @@ def test_model_validation():
                       feature_mean=np.zeros(2), feature_cov=[[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("B", [np.zeros((0, 2)), [[]]], ids=["no rows", "no columns"])
+def test_model_rejects_empty_B(B):
+    # checked before sigma, whose check would name a `mu` the model lacks
+    with pytest.raises(DomainError, match="^B must be a nonempty 2-d matrix$"):
+        LcemModel(B=B, sigma=np.zeros((0, 0)), feature_mean=np.zeros(2),
+                  feature_cov=np.eye(2))
+
+
 def test_mcconfig_validation():
     with pytest.raises(DomainError):
         McConfig(n_samples=0)

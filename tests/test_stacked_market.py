@@ -5,6 +5,7 @@ The oracle below loops over states and inverts every matrix with
 and fsum reductions of ``smmport.market`` and ``smmport.hedging``.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from smmport import (
     smm_policy,
     solve_hedge,
 )
+import smmport.market
 from smmport.moments import PIVOT_RTOL
 from conftest import random_spd
 
@@ -305,6 +307,51 @@ def test_first_bad_state_is_named_for_every_check(kind):
         with pytest.raises(error, match="^state 17: ") as caught:
             DiscreteMarket.from_dict({"states": states})
         assert type(caught.value) is error
+
+
+def _counting_parse(monkeypatch, fail_size=None):
+    """Record the length of every ``market._parse`` call; with ``fail_size``,
+    a call on exactly that many states fails."""
+    calls = []
+    parse = smmport.market._parse
+
+    def counted(raw):
+        calls.append(len(raw))
+        if len(raw) == fail_size:
+            raise DomainError("whole-market failure")
+        return parse(raw)
+
+    monkeypatch.setattr(smmport.market, "_parse", counted)
+    return calls
+
+
+def test_bad_last_state_of_a_large_market_is_found_by_bisection(monkeypatch):
+    n_states = 20_000
+    states = [{"prob": 1.0 / n_states, "mu": [0.1, 0.2], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+              for _ in range(n_states)]
+    states[-1]["sigma"] = [[1.0, 2.0], [2.0, 1.0]]
+    calls = _counting_parse(monkeypatch)
+    with pytest.raises(NotPositiveDefinite, match="^state 19999: "):
+        DiscreteMarket.from_dict({"states": states})
+    assert len(calls) <= math.ceil(math.log2(n_states)) + 2
+
+
+def test_run_of_narrow_states_names_the_first():
+    # states 4.. agree with each other but not with state 0; each probe
+    # includes state 0, so a range of them alone still fails
+    states = [{"prob": 0.125, "mu": [0.1, 0.2], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+              for _ in range(8)]
+    for state in states[4:]:
+        state.update(mu=[0.1], sigma=[[1.0]])
+    with pytest.raises(DimensionMismatch, match="^state 4: "):
+        DiscreteMarket.from_dict({"states": states})
+
+
+def test_failure_of_no_single_state_is_raised_unchanged(monkeypatch):
+    states = [{"prob": 0.25, "mu": [0.1], "sigma": [[1.0]]} for _ in range(4)]
+    _counting_parse(monkeypatch, fail_size=4)
+    with pytest.raises(DomainError, match="^whole-market failure$"):
+        DiscreteMarket.from_dict({"states": states})
 
 
 def test_asymmetric_state_warns_once():
