@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--risk-budget", type=float, default=1.0)
-    p.add_argument("--n-streams", type=int, default=1)
+    p.add_argument("--n-streams", type=int, default=1,
+                   help="upper bound on worker threads, capped at the CPU "
+                        "count; never changes results")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_simulate_lcem)
 

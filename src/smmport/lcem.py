@@ -26,35 +26,34 @@ Features are drawn in fixed blocks of ``BLOCK_SIZE`` samples. Block b
 uses a Philox counter-based generator keyed by the seed with its counter
 advanced to block b's private range, so the draws for a block depend
 only on (seed, b). Per-block partial sums are combined across blocks
-with exact summation. Streams own whole blocks, hence estimates are
-bit-identical for any ``n_streams``; streams may run concurrently.
+with exact summation. The blocks are split into contiguous runs, one per
+worker thread; there are at most ``n_streams`` workers and one per CPU.
+Estimates are bit-identical for any ``n_streams`` and any scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DegenerateMarket, DomainError, NotPositiveDefinite
 from .moments import (
     MomentPair,
+    SharpeBudget,
     _as_square,
     _as_vector,
     _chol_solve,
+    _is_integer,
     _lock,
     _symmetrize,
     _tri_solve,
 )
 
 BLOCK_SIZE = 1 << 16
-
-# Sums accumulated per block, with a = s / (1 + s):
-#   a1..a4  powers of a        s1..s4  powers of s
-#   as1 = sum a*s, as2 = sum a*s**2
-_N_SUMS = 10
 
 
 class LcemModel:
@@ -138,13 +137,16 @@ def _psd_factor(cov: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, seed, and stream count for a Monte Carlo run."""
+    """Sample count, seed, and thread cap (``n_streams``) for a Monte Carlo run."""
 
     n_samples: int
     seed: int = 0
     n_streams: int = 1
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "n_streams"):
+            if not _is_integer(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer")
         if self.n_samples < 1:
             raise DomainError("n_samples must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -162,7 +164,7 @@ class McEstimate:
     n: int
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "std_error": self.std_error, "n": self.n}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -185,15 +187,7 @@ class LcemComparison:
     mp_scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q.to_dict(),
-            "sr_smm": self.sr_smm.to_dict(),
-            "sr_mp": self.sr_mp.to_dict(),
-            "delta_sr": self.delta_sr.to_dict(),
-            "rescale_std": self.rescale_std.to_dict(),
-            "smm_scale": self.smm_scale,
-            "mp_scale": self.mp_scale,
-        }
+        return asdict(self)
 
 
 def lcem_conditional_weights(model: LcemModel, f, scale: float = 1.0) -> np.ndarray:
@@ -248,61 +242,47 @@ def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.nda
 
 def _block_sums(model: LcemModel, seed: int, block_index: int, count: int):
     s = s_block(model, seed, block_index, count)
+    if not np.isfinite(s).all():
+        raise DegenerateMarket(f"signal s overflows in block {block_index}")
     a = s / (1.0 + s)
-    s2 = s * s
-    return (
-        float(a.sum()),
-        float((a * a).sum()),
-        float((a * a * a).sum()),
-        float((a * a * a * a).sum()),
-        float(s.sum()),
-        float(s2.sum()),
-        float((s2 * s).sum()),
-        float((s2 * s2).sum()),
-        float((a * s).sum()),
-        float((a * s2).sum()),
-    )
+    # Sums accumulated per block, with a = s / (1 + s):
+    #   a1..a4  powers of a        s1..s4  powers of s
+    #   as1 = sum a*s, as2 = sum a*s**2
+    # Powers of a huge s may overflow; compare_policies rejects those sums.
+    with np.errstate(over="ignore"):
+        s2 = s * s
+        return (
+            float(a.sum()), float((a * a).sum()),
+            float((a * a * a).sum()), float((a * a * a * a).sum()),
+            float(s.sum()), float(s2.sum()),
+            float((s2 * s).sum()), float((s2 * s2).sum()),
+            float((a * s).sum()), float((a * s2).sum()),
+        )
 
 
 def _collect_sums(model: LcemModel, cfg: McConfig):
     """Accumulate the statistic sums over all blocks.
 
-    Blocks are distributed to streams in contiguous runs; per-block
-    partials are reduced with math.fsum (exact), so the result does not
-    depend on the stream count or scheduling.
+    The blocks are split into one contiguous run per worker, and at most
+    ``n_streams`` workers, one per CPU, run them. Per-block partials are
+    reduced with math.fsum (exact), so the result does not depend on the
+    worker count or scheduling.
     """
     bounds = block_bounds(cfg.n_samples)
     n_blocks = len(bounds)
+    workers = min(cfg.n_streams, n_blocks, os.cpu_count() or 1)
 
-    def run_block(b: int):
-        start, stop = bounds[b]
-        return _block_sums(model, cfg.seed, b, stop - start)
+    def run(s: int) -> list:
+        blocks = range(s * n_blocks // workers, (s + 1) * n_blocks // workers)
+        return [_block_sums(model, cfg.seed, b, bounds[b][1] - bounds[b][0])
+                for b in blocks]
 
-    if cfg.n_streams == 1 or n_blocks == 1:
-        partials = [run_block(b) for b in range(n_blocks)]
+    if workers == 1:
+        partials = run(0)
     else:
-        streams = min(cfg.n_streams, n_blocks)
-        runs = [
-            range(
-                (s * n_blocks) // streams,
-                ((s + 1) * n_blocks) // streams,
-            )
-            for s in range(streams)
-        ]
-
-        def run_stream(blocks):
-            return [(b, run_block(b)) for b in blocks]
-
-        partials_by_index: dict[int, tuple] = {}
-        with ThreadPoolExecutor(max_workers=streams) as pool:
-            for chunk in pool.map(run_stream, runs):
-                for b, sums in chunk:
-                    partials_by_index[b] = sums
-        partials = [partials_by_index[b] for b in range(n_blocks)]
-
-    return tuple(
-        math.fsum(p[i] for p in partials) for i in range(_N_SUMS)
-    )
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = [p for chunk in pool.map(run, range(workers)) for p in chunk]
+    return tuple(math.fsum(c) for c in zip(*partials))
 
 
 def _mean_estimate(sum1: float, sum2: float, n: int) -> McEstimate:
@@ -323,10 +303,6 @@ def estimate_q(model: LcemModel, cfg: McConfig) -> McEstimate:
     return _mean_estimate(sums[0], sums[1], cfg.n_samples)
 
 
-def _zero_estimate(n: int) -> McEstimate:
-    return McEstimate(value=0.0, std_error=0.0, n=n)
-
-
 def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> LcemComparison:
     """Sharpe of the second-moment policy versus the covariance policy.
 
@@ -338,15 +314,14 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     computed from conditional moments per sampled f, never from sampled
     returns.
     """
-    if not float(risk_budget) > 0.0:
-        raise DomainError("risk_budget must be positive")
+    risk_budget = SharpeBudget(risk_budget=float(risk_budget)).risk_budget
     sums = _collect_sums(model, cfg)
     n = cfg.n_samples
     a1, a2, a3, a4, s1, s2, s3, s4, as1, as2 = sums
 
     if s2 == 0.0:
         # No signal anywhere: both policies are identically zero.
-        zero = _zero_estimate(n)
+        zero = McEstimate(value=0.0, std_error=0.0, n=n)
         return LcemComparison(
             q=zero, sr_smm=zero, sr_mp=zero, delta_sr=zero,
             rescale_std=zero, smm_scale=0.0, mp_scale=0.0,
@@ -355,6 +330,8 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     a_bar = a1 / n      # mean of s/(1+s): the q estimate
     b_bar = s1 / n      # mean of s: mean return of the unit covariance policy
     c_bar = s2 / n      # mean of s**2
+    if a_bar == 1.0 or not math.isfinite(s4):
+        raise DegenerateMarket("signal too strong: the q estimate rounds to 1")
 
     if n < 2:
         cov = np.zeros((3, 3))
@@ -406,8 +383,8 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
         rescale_se = 0.0
     rescale = McEstimate(value=rescale_val, std_error=rescale_se, n=n)
 
-    smm_scale = float(risk_budget) / math.sqrt(a_bar * (1.0 - a_bar))
-    mp_scale = float(risk_budget) / math.sqrt(v)
+    smm_scale = risk_budget / math.sqrt(a_bar * (1.0 - a_bar))
+    mp_scale = risk_budget / math.sqrt(v)
     return LcemComparison(
         q=q_est, sr_smm=sr_smm, sr_mp=sr_mp, delta_sr=delta,
         rescale_std=rescale, smm_scale=smm_scale, mp_scale=mp_scale,

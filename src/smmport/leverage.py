@@ -10,6 +10,7 @@ gives a straight line through the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,31 @@ def nw_sums(xs, ys, grid, bandwidth):
     return w.sum(axis=0), ys @ w
 
 
+def _positive(value, name: str, hint: str = "") -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive{hint}")
+    return value
+
+
+def _nw_estimates(xs, ys, grid, bandwidth: float):
+    """Nadaraya-Watson estimates of each response row of ``ys`` at the
+    grid points with enough kernel mass, and the mask of those points."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den, num = nw_sums(xs, ys, grid, bandwidth)
+        mask = den >= MIN_KERNEL_MASS
+        est = num[:, mask] / den[mask]
+    if not np.isfinite(est).all():
+        raise DomainError("kernel estimates overflow: responses are too large")
+    return mask, est
+
+
 def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
     """Nadaraya-Watson estimate of E[y | x] at each grid point.
 
-    Gaussian kernel. Points with vanishing kernel mass come back NaN.
-    Where defined, the estimate is a convex combination of the ys.
+    Gaussian kernel with a finite, positive bandwidth. Points with
+    vanishing kernel mass come back NaN. Where defined, the estimate is
+    a convex combination of the ys.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -54,12 +75,9 @@ def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
         raise ShapeMismatch("xs and ys must be 1-d arrays of equal length")
     if xs.size < 2:
         raise DomainError("need at least two samples")
-    if not float(bandwidth) > 0.0:
-        raise DomainError("bandwidth must be positive")
-    den, num = nw_sums(xs, ys[None, :], grid, float(bandwidth))
+    mask, est = _nw_estimates(xs, ys[None, :], grid, _positive(bandwidth, "bandwidth"))
     out = np.full(grid.size, np.nan)
-    mask = den >= MIN_KERNEL_MASS
-    out[mask] = num[0, mask] / den[mask]
+    out[mask] = est[0]
     return out
 
 
@@ -131,6 +149,9 @@ def leverage_curve(
         Lower bound applied to the second-moment estimate before
         dividing. Defaults to 1e-8 times its largest estimate (with a
         tiny positive fallback when all estimates vanish).
+
+    ``bandwidth`` and ``floor`` must be finite and positive. Returns so
+    large that an estimate is not finite raise ``DomainError``.
     """
     if grid is None:
         grid = np.linspace(float(sample.x.min()), float(sample.x.max()),
@@ -141,28 +162,20 @@ def leverage_curve(
             raise DomainError("grid must be a nonempty 1-d array")
         if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
             raise DomainError("grid must be strictly increasing")
+    hint = ""
     if bandwidth is None:
         bandwidth = silverman_bandwidth(sample.x)
-    if not float(bandwidth) > 0.0:
-        raise DomainError(
-            "bandwidth must be positive (constant leverage sample needs an "
-            "explicit bandwidth)"
-        )
+        hint = " (constant leverage sample needs an explicit bandwidth)"
+    bandwidth = _positive(bandwidth, "bandwidth", hint)
 
-    den, num = nw_sums(
-        sample.x, np.vstack([sample.y, sample.y * sample.y]), grid,
-        float(bandwidth),
-    )
-    mask = den >= MIN_KERNEL_MASS
-    m_hat = num[0, mask] / den[mask]
-    s_raw = num[1, mask] / den[mask]
+    with np.errstate(over="ignore"):
+        ys = np.vstack([sample.y, sample.y * sample.y])
+    mask, (m_hat, s_raw) = _nw_estimates(sample.x, ys, grid, bandwidth)
 
     if floor is None:
         top = float(s_raw.max()) if s_raw.size else 0.0
         floor = 1e-8 * top if top > 0.0 else np.finfo(np.float64).tiny
-    if not float(floor) > 0.0:
-        raise DomainError("floor must be positive")
-    s_hat = np.maximum(s_raw, floor)
+    s_hat = np.maximum(s_raw, _positive(floor, "floor"))
 
     curve = LeverageCurve(
         grid=grid[mask], m_hat=m_hat, s_hat=s_hat, lever_hat=m_hat / s_hat

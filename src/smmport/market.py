@@ -40,6 +40,7 @@ from .moments import (
     Objective,
     PerfSummary,
     SharpeBudget,
+    _is_integer,
     _lock,
     _pair_stacks,
     _tri_solve,
@@ -397,8 +398,7 @@ def merge_states(
     delta_q = q(merged) - q(original), which is never positive.
     """
     subset = list(subset)
-    bad = [i for i in subset
-           if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))]
+    bad = [i for i in subset if not _is_integer(i)]
     if bad:
         raise InvalidSubset(f"subset index {bad[0]!r} is not an integer")
     idx = sorted(set(int(i) for i in subset))

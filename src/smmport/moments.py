@@ -99,6 +99,11 @@ def _chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, b))
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _lock(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -266,10 +271,10 @@ class SharpeBudget:
     risk_free: float = 0.0
 
     def __post_init__(self):
-        if not self.risk_budget > 0.0:
-            raise DomainError("risk_budget must be positive")
-        if self.risk_free < 0.0:
-            raise DomainError("risk_free must be nonnegative")
+        if not 0.0 < self.risk_budget < math.inf:
+            raise DomainError("risk_budget must be finite and positive")
+        if not 0.0 <= self.risk_free < math.inf:
+            raise DomainError("risk_free must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -279,8 +284,8 @@ class MeanVariance:
     risk_param: float
 
     def __post_init__(self):
-        if not self.risk_param > 0.0:
-            raise DomainError("risk_param must be positive")
+        if not 0.0 < self.risk_param < math.inf:
+            raise DomainError("risk_param must be finite and positive")
 
 
 @dataclass(frozen=True)

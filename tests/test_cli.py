@@ -223,6 +223,35 @@ def test_simulate_lcem_non_finite_model(capsys, tmp_path, lcem_model_path, field
     assert rc == 2 and out == "" and "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-discrete", "--risk-free", "nan"],
+    ["solve-discrete", "--risk-free", "inf"],
+    ["simulate-lcem", "--risk-budget", "inf"],
+    ["solve-discrete", "--risk-budget", "inf"],
+    ["solve-discrete", "--objective", "mean-variance", "--risk-param", "inf"],
+])
+def test_non_finite_risk_parameter_is_validation_error(
+    capsys, two_state_market_path, lcem_model_path, argv
+):
+    inputs = {"solve-discrete": ["--market", two_state_market_path],
+              "simulate-lcem": ["--model", lcem_model_path, "--n", "1000"]}
+    rc, out, err = run_cli(capsys, argv[0], *inputs[argv[0]], *argv[1:])
+    name = argv[-2].lstrip("-").replace("-", "_")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {name} must be finite and ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", [
+    {"B": [[1e9]], "sigma": [[1e-9]], "feature_mean": [1.0], "feature_cov": [[0.0]]},
+    {"B": [[1e200]], "sigma": [[1.0]], "feature_mean": [1.0], "feature_cov": [[1.0]]},
+], ids=["q rounds to 1", "s overflows"])
+def test_simulate_lcem_signal_too_strong(capsys, tmp_path, model):
+    path = write_json(tmp_path / "strong.json", model)
+    rc, out, err = run_cli(capsys, "simulate-lcem", "--model", path, "--n", "1000")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: signal ") and err.count("\n") == 1
+
+
 def test_simulate_lcem_text_format(capsys, lcem_model_path):
     rc, out, _ = run_cli(
         capsys, "simulate-lcem", "--model", lcem_model_path,
@@ -284,6 +313,22 @@ def test_leverage_audit_missing_points_omitted(capsys, tmp_path):
     )
     assert rc == 0
     assert len(out.strip().splitlines()) < 102
+
+
+@pytest.mark.parametrize("scale, flag, message", [
+    (1.0, ["--floor", "inf"], "floor must be finite and positive"),
+    (1.0, ["--bandwidth", "inf"], "bandwidth must be finite and positive"),
+    (1e200, [], "kernel estimates overflow: responses are too large"),
+])
+def test_leverage_audit_non_finite_is_validation_error(capsys, tmp_path, scale, flag, message):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "lev.csv"
+    with open(path, "w") as fh:
+        fh.write("leverage,return\n")
+        for xi, zi in zip(rng.uniform(1.0, 2.0, 200), rng.standard_normal(200)):
+            fh.write(f"{float(xi)!r},{scale * float(zi)!r}\n")
+    rc, out, err = run_cli(capsys, "leverage-audit", "--csv", str(path), *flag)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_leverage_audit_header_required(capsys, tmp_path):

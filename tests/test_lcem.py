@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from smmport import (
+    DegenerateMarket,
     DomainError,
     LcemModel,
     McConfig,
@@ -14,6 +16,7 @@ from smmport import (
     lcem_conditional_weights,
     smm_direction,
 )
+from smmport import lcem
 from smmport.lcem import BLOCK_SIZE, block_bounds, feature_block, s_block
 from conftest import random_spd
 
@@ -70,6 +73,64 @@ def test_mcconfig_validation():
         McConfig(n_samples=10, seed=2**64)
     with pytest.raises(DomainError):
         McConfig(n_samples=10, n_streams=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_samples", 1000.0), ("n_samples", True), ("seed", 1.5),
+    ("seed", np.float64(2.0)), ("n_streams", 2.5), ("n_streams", np.bool_(True)),
+    ("n_streams", "2"),
+])
+def test_mcconfig_requires_integers(field, value):
+    with pytest.raises(DomainError, match=f"^{field} must be an integer$"):
+        McConfig(**{"n_samples": 1000, field: value})
+
+
+def test_mcconfig_accepts_numpy_integers():
+    model = small_model()
+    cfg = McConfig(n_samples=np.int64(1000), seed=np.uint64(7), n_streams=np.int32(2))
+    assert estimate_q(model, cfg) == estimate_q(model, McConfig(n_samples=1000, seed=7))
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 64, "host"])
+def test_threads_capped_at_cpu_count(monkeypatch, cpus):
+    if cpus != "host":
+        monkeypatch.setattr(lcem.os, "cpu_count", lambda: cpus)
+    requested, seen = [], []
+
+    class RecordingExecutor:
+        """Records the thread count asked for and maps inline, so no
+        thread is ever started."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(lcem, "ThreadPoolExecutor", RecordingExecutor)
+
+    def block_sums(model, seed, block_index, count):
+        seen.append(block_index)
+        return (float(count),) * 10
+
+    monkeypatch.setattr(lcem, "_block_sums", block_sums)
+    n = 400_000_000
+    n_blocks = len(block_bounds(n))
+    sums = lcem._collect_sums(None, McConfig(n_samples=n, n_streams=5000))
+    workers = min(os.cpu_count() or 1, n_blocks)
+    assert requested == ([workers] if workers > 1 else [])
+    # contiguous runs, in block order, cover every block once
+    assert seen == list(range(n_blocks)) and sums == (float(n),) * 10
+
+    requested.clear()
+    lcem._collect_sums(None, McConfig(n_samples=n, n_streams=1))
+    assert requested == []
 
 
 def test_conditional_weights_no_signal():
@@ -234,6 +295,45 @@ def test_compare_policies_validation():
     model = small_model(seed=10)
     with pytest.raises(DomainError):
         compare_policies(model, McConfig(n_samples=100, seed=0), 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="^risk_budget must be finite and positive$"):
+            compare_policies(model, McConfig(n_samples=100, seed=0), bad)
+
+
+STRONG_SIGNALS = {
+    # q = s/(1+s) rounds to 1, so 1 - q is 0
+    "q rounds to 1": {"B": [[1e9]], "sigma": [[1e-9]], "feature_mean": [1.0],
+                      "feature_cov": [[0.0]]},
+    # s itself is not finite
+    "s overflows": {"B": [[1e200]], "sigma": [[1.0]], "feature_mean": [1.0],
+                    "feature_cov": [[1.0]]},
+    # s is finite, but s**4 and s**3 are not
+    "powers overflow": {"B": [[1e50]], "sigma": [[1.0]], "feature_mean": [0.0],
+                        "feature_cov": [[1.0]]},
+}
+
+
+@pytest.mark.parametrize("n", [1000, 2 * BLOCK_SIZE])
+@pytest.mark.parametrize("name", list(STRONG_SIGNALS))
+def test_signal_too_strong_is_degenerate(name, n):
+    model = LcemModel.from_dict(STRONG_SIGNALS[name])
+    with pytest.raises(DegenerateMarket, match="^signal"):
+        compare_policies(model, McConfig(n_samples=n, n_streams=2), 1.0)
+
+
+def test_non_finite_power_sums_are_degenerate(monkeypatch):
+    # s**4 overflowing while q stays below 1 needs s to span some sixty
+    # orders of magnitude within one sample; stubbed sums stand in for it
+    sums = (500.0, 300.0, 200.0, 100.0, 1e300, 1e300, math.inf, math.inf, 1.0, 1.0)
+    monkeypatch.setattr(lcem, "_block_sums", lambda model, seed, b, count: sums)
+    with pytest.raises(DegenerateMarket, match="^signal too strong"):
+        compare_policies(None, McConfig(n_samples=1000), 1.0)
+
+
+def test_estimate_q_rejects_overflowing_s():
+    model = LcemModel.from_dict(STRONG_SIGNALS["s overflows"])
+    with pytest.raises(DegenerateMarket, match="^signal s overflows in block 0$"):
+        estimate_q(model, McConfig(n_samples=1000))
 
 
 def test_conditional_vs_raw_return_sampling():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,25 @@ def test_synthetic_linear_recovery():
     lever = curve.lever_hat[lo:hi]
     slope = float(g @ lever) / float(g @ g)
     assert slope == pytest.approx(a / sigma**2, rel=0.10)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_bandwidth_and_floor_must_be_finite(bad):
+    sample, _, _ = synthetic_sample(t_count=500)
+    with pytest.raises(DomainError, match="^bandwidth must be finite and positive$"):
+        leverage_curve(sample, bandwidth=bad)
+    with pytest.raises(DomainError, match="^floor must be finite and positive$"):
+        leverage_curve(sample, floor=bad)
+    with pytest.raises(DomainError, match="^bandwidth must be finite and positive$"):
+        kernel_regress([1.0, 2.0], [1.0, 2.0], [1.5], bandwidth=bad)
+
+
+def test_non_finite_estimates_rejected():
+    sample, _, _ = synthetic_sample(t_count=500)
+    # y**2 overflows: the second-moment estimate would be Infinity
+    huge = LeverageSample.from_observations(sample.x, 1e200 * sample.z)
+    with pytest.raises(DomainError, match="overflow"):
+        leverage_curve(huge)
+    # the kernel sums overflow although every response is finite
+    with pytest.raises(DomainError, match="overflow"):
+        kernel_regress(sample.x, np.full(500, 1e308), [1.5], bandwidth=1.0)

@@ -206,6 +206,16 @@ def test_objective_validation():
         MeanVariance(risk_param=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_objective_parameters_must_be_finite(bad):
+    with pytest.raises(DomainError, match="^risk_budget must be finite and positive$"):
+        SharpeBudget(risk_budget=bad)
+    with pytest.raises(DomainError, match="^risk_free must be finite and nonnegative$"):
+        SharpeBudget(risk_free=bad)
+    with pytest.raises(DomainError, match="^risk_param must be finite and positive$"):
+        MeanVariance(risk_param=bad)
+
+
 def test_optimal_objective_values():
     q = 11 / 15
     assert optimal_objective_value(q, SharpeBudget(risk_budget=1.0)) == pytest.approx(
