@@ -260,13 +260,22 @@ def _block_sums(model: LcemModel, seed: int, block_index: int, count: int):
         )
 
 
+def _fsum(partials) -> float:
+    """Exact sum of nonnegative per-block partials, inf past the float
+    maximum (math.fsum raises OverflowError there)."""
+    try:
+        return math.fsum(partials)
+    except OverflowError:
+        return math.inf
+
+
 def _collect_sums(model: LcemModel, cfg: McConfig):
     """Accumulate the statistic sums over all blocks.
 
     The blocks are split into one contiguous run per worker, and at most
     ``n_streams`` workers, one per CPU, run them. Per-block partials are
-    reduced with math.fsum (exact), so the result does not depend on the
-    worker count or scheduling.
+    reduced exactly, so the result does not depend on the worker count
+    or scheduling. A sum past the float maximum comes back inf.
     """
     bounds = block_bounds(cfg.n_samples)
     n_blocks = len(bounds)
@@ -282,7 +291,7 @@ def _collect_sums(model: LcemModel, cfg: McConfig):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = [p for chunk in pool.map(run, range(workers)) for p in chunk]
-    return tuple(math.fsum(c) for c in zip(*partials))
+    return tuple(_fsum(c) for c in zip(*partials))
 
 
 def _mean_estimate(sum1: float, sum2: float, n: int) -> McEstimate:
@@ -330,8 +339,10 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     a_bar = a1 / n      # mean of s/(1+s): the q estimate
     b_bar = s1 / n      # mean of s: mean return of the unit covariance policy
     c_bar = s2 / n      # mean of s**2
-    if a_bar == 1.0 or not math.isfinite(s4):
+    if a_bar == 1.0:
         raise DegenerateMarket("signal too strong: the q estimate rounds to 1")
+    if not math.isfinite(s4):
+        raise DegenerateMarket("signal too strong: the sum of s**4 overflows")
 
     if n < 2:
         cov = np.zeros((3, 3))

@@ -23,11 +23,20 @@ MIN_KERNEL_MASS = 1e-300
 
 DEFAULT_GRID_SIZE = 101
 
+# Rows of the T x G kernel-weight matrix are formed this many elements
+# at a time, in one 512 KB scratch buffer that stays in cache.
+_CHUNK_ELEMS = 1 << 16
+
 
 def silverman_bandwidth(xs: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 1.06 * std(x) * T**(-1/5)."""
     xs = np.asarray(xs, dtype=np.float64)
-    return 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
+    # np.std squares deviations, which overflow past ~1e154. Scaling by
+    # 2**-k with |x| < 2**k keeps them small; a power of two is exact,
+    # so the result has the same bits as an unscaled std.
+    k = math.frexp(float(np.max(np.abs(xs), initial=0.0)))[1]
+    std = float(np.std(np.ldexp(xs, -k), ddof=1))
+    return 1.06 * math.ldexp(std, k) * xs.size ** (-0.2)
 
 
 def nw_sums(xs, ys, grid, bandwidth):
@@ -36,10 +45,30 @@ def nw_sums(xs, ys, grid, bandwidth):
     Returns ``(den, num)`` where ``den[j]`` is the total kernel mass at
     grid point j and ``num[r, j]`` the mass-weighted sum of response
     row r. ``ys`` has shape (n_responses, n_samples).
+
+    The T x G weights exp(-u**2 / 2), u = (grid[j] - xs[t]) / bandwidth,
+    are formed a block of rows at a time in one scratch buffer of at
+    most max(2**16, G) floats (512 KB when G <= 2**16), so memory beyond
+    the inputs and outputs stays bounded whatever T is. Each weight has
+    the same bits as in a dense T x G evaluation; the sums differ from
+    dense ones only in the order of summation.
     """
-    u = (grid[None, :] - xs[:, None]) / bandwidth
-    w = np.exp(-0.5 * u * u)
-    return w.sum(axis=0), ys @ w
+    n_samples, n_grid = xs.size, grid.size
+    rows = max(1, _CHUNK_ELEMS // max(n_grid, 1))
+    scratch = np.empty((min(rows, n_samples), n_grid))
+    den = np.zeros(n_grid)
+    num = np.zeros((ys.shape[0], n_grid))
+    for lo in range(0, n_samples, rows):
+        hi = min(lo + rows, n_samples)
+        w = scratch[:hi - lo]
+        np.subtract(grid, xs[lo:hi, None], out=w)
+        w /= bandwidth
+        w *= w
+        w *= -0.5
+        np.exp(w, out=w)
+        den += w.sum(axis=0)
+        num += ys[:, lo:hi] @ w
+    return den, num
 
 
 def _positive(value, name: str, hint: str = "") -> float:
@@ -147,8 +176,9 @@ def leverage_curve(
         Gaussian kernel bandwidth; defaults to Silverman's rule.
     floor : float, optional
         Lower bound applied to the second-moment estimate before
-        dividing. Defaults to 1e-8 times its largest estimate (with a
-        tiny positive fallback when all estimates vanish).
+        dividing. Defaults to 1e-8 times its largest estimate, but at
+        least the smallest normal float (so vanishing or subnormal
+        estimates still get a positive floor).
 
     ``bandwidth`` and ``floor`` must be finite and positive. Returns so
     large that an estimate is not finite raise ``DomainError``.
@@ -173,8 +203,7 @@ def leverage_curve(
     mask, (m_hat, s_raw) = _nw_estimates(sample.x, ys, grid, bandwidth)
 
     if floor is None:
-        top = float(s_raw.max()) if s_raw.size else 0.0
-        floor = 1e-8 * top if top > 0.0 else np.finfo(np.float64).tiny
+        floor = max(1e-8 * float(s_raw.max(initial=0.0)), np.finfo(np.float64).tiny)
     s_hat = np.maximum(s_raw, _positive(floor, "floor"))
 
     curve = LeverageCurve(

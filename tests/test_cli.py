@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,17 @@ def test_simulate_lcem_signal_too_strong(capsys, tmp_path, model):
     assert err.startswith("error: signal ") and err.count("\n") == 1
 
 
+def test_simulate_lcem_block_sums_overflow(capsys, tmp_path):
+    # s is about 6.6e75: each block's sum of s**4 is finite, and the sum
+    # over the two blocks of 65,536 samples passes the float maximum
+    model = {"B": [[8.1e37]], "sigma": [[1.0]], "feature_mean": [1.0],
+             "feature_cov": [[0.0]]}
+    path = write_json(tmp_path / "strong.json", model)
+    rc, out, err = run_cli(capsys, "simulate-lcem", "--model", path, "--n", "131072")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: signal too strong: ") and err.count("\n") == 1
+
+
 def test_simulate_lcem_text_format(capsys, lcem_model_path):
     rc, out, _ = run_cli(
         capsys, "simulate-lcem", "--model", lcem_model_path,
@@ -329,6 +341,22 @@ def test_leverage_audit_non_finite_is_validation_error(capsys, tmp_path, scale, 
             fh.write(f"{float(xi)!r},{scale * float(zi)!r}\n")
     rc, out, err = run_cli(capsys, "leverage-audit", "--csv", str(path), *flag)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_leverage_audit_huge_leverage(capsys, tmp_path):
+    # squaring deviations near 1e160 overflows unless the bandwidth
+    # rule rescales first
+    rng = np.random.default_rng(5)
+    path = tmp_path / "lev.csv"
+    with open(path, "w") as fh:
+        fh.write("leverage,return\n")
+        for xi, zi in zip(rng.uniform(1e160, 2e160, 50), rng.standard_normal(50)):
+            fh.write(f"{float(xi)!r},{float(zi)!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "leverage-audit", "--csv", str(path))
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 102
 
 
 def test_leverage_audit_header_required(capsys, tmp_path):

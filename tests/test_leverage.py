@@ -1,4 +1,7 @@
 import math
+import statistics
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from smmport import (
     LeverageSample,
     ShapeMismatch,
     kernel_regress,
+    leverage,
     leverage_curve,
     silverman_bandwidth,
 )
@@ -171,3 +175,67 @@ def test_non_finite_estimates_rejected():
     # the kernel sums overflow although every response is finite
     with pytest.raises(DomainError, match="overflow"):
         kernel_regress(sample.x, np.full(500, 1e308), [1.5], bandwidth=1.0)
+
+
+def test_silverman_bandwidth_huge_leverage():
+    # np.std of raw values near 1e160 overflows while squaring deviations;
+    # the second moments of y = z / x underflow, so the default floor
+    # must stay positive
+    rng = np.random.default_rng(5)
+    x = rng.uniform(1e160, 2e160, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = silverman_bandwidth(x)
+        curve = leverage_curve(
+            LeverageSample.from_observations(x, rng.standard_normal(50))
+        )
+    # statistics.stdev sums exact fractions, so it cannot overflow
+    assert h == pytest.approx(1.06 * statistics.stdev(x.tolist()) * 50 ** -0.2, rel=1e-14)
+    assert curve.n_points == 101 and np.all(np.isfinite(curve.lever_hat))
+
+
+def _fsum_oracle(xs, ys, grid, h):
+    """Kernel sums one grid point at a time, each summed exactly."""
+    u = (grid[None, :] - xs[:, None]) / h
+    w = np.exp(-0.5 * u * u)
+    den = np.array([math.fsum(col) for col in w.T])
+    num = np.array([[math.fsum(col) for col in (row[:, None] * w).T] for row in ys])
+    return den, num
+
+
+CHUNK_CASES = [
+    (n_grid, t)
+    for n_grid in (1, 101, 2**16 + 1)
+    for r in [max(1, leverage._CHUNK_ELEMS // n_grid)]
+    for t in (r - 1, r, r + 1, 3 * r + 7)
+]
+
+
+@pytest.mark.parametrize("n_grid, t_count", CHUNK_CASES)
+def test_nw_sums_chunk_boundaries(n_grid, t_count):
+    rng = np.random.default_rng(t_count + n_grid)
+    xs = rng.uniform(0.5, 2.5, t_count)
+    y = rng.uniform(0.5, 1.5, t_count)
+    ys = np.vstack([y, y * y])
+    grid = np.linspace(0.0, 3.0, n_grid)
+    h = 0.3
+    den, num = leverage.nw_sums(xs, ys, grid, h)
+    want_den, want_num = _fsum_oracle(xs, ys, grid, h)
+    np.testing.assert_allclose(den, want_den, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(num, want_num, rtol=1e-13, atol=0.0)
+    if t_count >= 2:
+        est = kernel_regress(xs, y, grid, h)
+        np.testing.assert_allclose(est, want_num[0] / want_den, rtol=1e-13, atol=0.0)
+
+
+def test_leverage_curve_memory_bound():
+    # a dense T x G weight matrix at T = 2e5, G = 101 traces ~490 MB
+    sample, _, _ = synthetic_sample(seed=45, t_count=200_000)
+    tracemalloc.start()
+    try:
+        curve = leverage_curve(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve.n_points == 101
+    assert peak < 16e6
