@@ -43,6 +43,16 @@ def _fmt(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _fmt_row(row, sep: str) -> str:
+    """The Python floats of ``row`` as ``_fmt`` writes them, joined by
+    ``sep``, in one formatting call."""
+    text = sep.join(["%.17g"] * len(row)) % tuple(row)
+    # a finite float never formats with an "n": only nan and inf need renaming
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
 def render_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
 
@@ -50,6 +60,8 @@ def render_json(obj) -> str:
         # floats first: they are nearly every value rendered
         if isinstance(o, float):
             return _fmt(o)
+        if isinstance(o, list) and set(map(type, o)) == {float}:
+            return "[" + _fmt_row(o, ", ") + "]"
         if isinstance(o, dict):
             items = ", ".join(f"{json.dumps(str(k))}: {emit(v)}" for k, v in o.items())
             return "{" + items + "}"
@@ -70,7 +82,7 @@ def render_json(obj) -> str:
 
 def _csv_text(header: list[str], rows) -> str:
     """A header line, then one line of 17-digit numbers per row."""
-    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    lines = [",".join(header), *(_fmt_row(row, ",") for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -46,7 +46,7 @@ from .moments import (
     SharpeBudget,
     _as_square,
     _as_vector,
-    _chol_solve,
+    _back_solve,
     _is_integer,
     _lock,
     _symmetrize,
@@ -202,7 +202,7 @@ def lcem_conditional_weights(model: LcemModel, f, scale: float = 1.0) -> np.ndar
     signal = model.B @ fv
     y = _tri_solve(model.chol_sigma, signal)
     s = float(y @ y)
-    return (float(scale) / (1.0 + s)) * _chol_solve(model.chol_sigma, signal)
+    return (float(scale) / (1.0 + s)) * _back_solve(model.chol_sigma, y)
 
 
 def block_bounds(n_samples: int) -> list[tuple[int, int]]:

@@ -40,6 +40,8 @@ from .moments import (
     Objective,
     PerfSummary,
     SharpeBudget,
+    _back_solve,
+    _finite_scale,
     _is_integer,
     _lock,
     _pair_stacks,
@@ -84,9 +86,9 @@ def _state_solves(mu, chol_sigma, chol_second) -> dict:
         ("markowitz_directions", "conditional_sharpe_sq", chol_sigma),
         ("smm_directions", "conditional_q", chol_second),
     ):
-        y = _tri_solve(lower, mu[..., None])
-        out[direction] = np.linalg.solve(np.swapaxes(lower, -1, -2), y)[..., 0]
-        out[ratio] = np.einsum("si,si->s", y[..., 0], y[..., 0])
+        y = _tri_solve(lower, mu)
+        out[direction] = _back_solve(lower, y)
+        out[ratio] = np.einsum("si,si->s", y, y)
     return out
 
 
@@ -370,11 +372,15 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
     if isinstance(objective, SharpeBudget):
         if summary.risk == 0.0:
             raise DegenerateMarket("unit covariance policy has zero risk")
-        c = objective.risk_budget / summary.risk
+        c = _finite_scale(objective.risk_budget / summary.risk, objective)
     elif isinstance(objective, MeanVariance):
         if summary.variance == 0.0:
             raise DegenerateMarket("unit covariance policy has zero variance")
-        c = objective.risk_param * summary.mean / (2.0 * summary.variance)
+        # dividing first: mean / (2 variance) is at most 1/2, and
+        # risk_param * mean alone can overflow while the scale does not
+        c = _finite_scale(
+            objective.risk_param * (summary.mean / (2.0 * summary.variance)), objective
+        )
     elif isinstance(objective, Kelly):
         if summary.second_moment == 0.0:
             raise DegenerateMarket("unit covariance policy has zero second moment")

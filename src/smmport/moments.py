@@ -16,7 +16,10 @@ Every moment pair is validated by one batched check, ``_pair_stacks``:
 finite inputs, symmetrization, and a Cholesky factorization of both
 Sigma and A whose smallest pivot must pass ``PIVOT_RTOL``. A
 ``MomentPair`` runs it on a stack of one; a market runs it on all of its
-states at once (see :mod:`smmport.market`).
+states at once (see :mod:`smmport.market`). Every later solve against
+those factors is a triangular substitution, forward (``_tri_solve``),
+back (``_back_solve``) or both (``_chol_solve``), each vectorized over a
+stack of factors and over the right-hand sides.
 
 All types are immutable after construction and all functions are pure.
 """
@@ -83,20 +86,45 @@ def _pivots_ok(lower: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return ~(np.min(pivots, axis=-1) < PIVOT_RTOL * np.max(diag, axis=-1))
 
 
-def _tri_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b for a lower Cholesky factor L; b may be a matrix.
+def _columns(lower: np.ndarray, b) -> tuple[np.ndarray, bool]:
+    """A float64 copy of ``b`` with an explicit column axis, and whether
+    ``b`` was a vector (or a stack of vectors) rather than a matrix."""
+    y = np.array(b, dtype=np.float64)
+    vector = y.ndim == lower.ndim - 1
+    return (y[..., None] if vector else y), vector
 
-    L may also be a stack (S, n, n); b must then be (S, n, k), with the
-    trailing axis explicit, because numpy 1.x and 2.x broadcast a stacked
-    (S, n) right-hand side differently.
+
+def _tri_solve(lower: np.ndarray, b) -> np.ndarray:
+    """Solve L y = b for a lower Cholesky factor L by forward substitution.
+
+    L is (n, n) or a stack (S, n, n). b has either L's ndim, a matrix
+    right-hand side ((n, k), or (S, n, k) for a stack), or one less, a
+    vector ((n,), or a stack of vectors (S, n)); y has b's shape. Each of
+    the n steps is one ``einsum`` over the whole stack and every column.
     """
-    return np.linalg.solve(lower, b)
+    y, vector = _columns(lower, b)
+    for i in range(lower.shape[-1]):
+        y[..., i, :] -= np.einsum("...j,...jk->...k", lower[..., i, :i], y[..., :i, :])
+        y[..., i, :] /= lower[..., i, i, None]
+    return y[..., 0] if vector else y
 
 
-def _chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _back_solve(lower: np.ndarray, b) -> np.ndarray:
+    """Solve L' x = b for a lower Cholesky factor L by back substitution;
+    shapes as for :func:`_tri_solve`."""
+    x, vector = _columns(lower, b)
+    for i in reversed(range(lower.shape[-1])):
+        x[..., i, :] -= np.einsum(
+            "...j,...jk->...k", lower[..., i + 1:, i], x[..., i + 1:, :]
+        )
+        x[..., i, :] /= lower[..., i, i, None]
+    return x[..., 0] if vector else x
+
+
+def _chol_solve(lower: np.ndarray, b) -> np.ndarray:
     """Solve (L L') x = b given the lower Cholesky factor L (or a stack
-    of them, as for :func:`_tri_solve`)."""
-    return np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, b))
+    of them); shapes as for :func:`_tri_solve`."""
+    return _back_solve(lower, _tri_solve(lower, b))
 
 
 def _is_integer(x) -> bool:
@@ -296,6 +324,15 @@ class Kelly:
 Objective = SharpeBudget | MeanVariance | Kelly
 
 
+def _finite_scale(c: float, objective: SharpeBudget | MeanVariance) -> float:
+    """The policy scale ``c``; if it overflowed, a :class:`DomainError`
+    naming the risk parameter of ``objective`` that made it."""
+    if math.isfinite(c):
+        return c
+    name = "risk_budget" if isinstance(objective, SharpeBudget) else "risk_param"
+    raise DomainError(f"{name} {getattr(objective, name)!r} makes the policy scale overflow")
+
+
 def scaling_constant(q: float, objective: Objective) -> float:
     """Scalar applied to the unit second-moment policy to solve ``objective``.
 
@@ -305,6 +342,9 @@ def scaling_constant(q: float, objective: Objective) -> float:
     * SharpeBudget: R / sqrt(q - q**2), saturating the risk budget,
     * MeanVariance: lambda / (2 (1 - q)),
     * Kelly: 1 (hold the unscaled policy).
+
+    A scale that overflows raises :class:`DomainError` naming the risk
+    parameter.
     """
     q = float(q)
     if not 0.0 <= q < 1.0:
@@ -314,9 +354,9 @@ def scaling_constant(q: float, objective: Objective) -> float:
             raise DegenerateMarket(
                 "no risky opportunity (q = 0): risk scaling undefined"
             )
-        return objective.risk_budget / math.sqrt(q * (1.0 - q))
+        return _finite_scale(objective.risk_budget / math.sqrt(q * (1.0 - q)), objective)
     if isinstance(objective, MeanVariance):
-        return objective.risk_param / (2.0 * (1.0 - q))
+        return _finite_scale(objective.risk_param / (2.0 * (1.0 - q)), objective)
     if isinstance(objective, Kelly):
         return 1.0
     raise DomainError(f"unknown objective {objective!r}")

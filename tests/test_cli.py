@@ -155,13 +155,16 @@ def test_degenerate_market_is_numerical_error(capsys, tmp_path):
     assert rc == 1 and "error:" in err
 
 
-def test_linalg_error_is_numerical_error(capsys, monkeypatch, two_state_market_path):
-    # LinAlgError is a ValueError, but it is not invalid input
+def test_linalg_error_is_numerical_error(capsys, monkeypatch, two_state_market_path,
+                                        hedge_constraints_path):
+    # LinAlgError is a ValueError, but it is not invalid input. A hedged
+    # solve reaches np.linalg.solve on its multiplier system.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", fail)
-    rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path)
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path,
+                           "--constraints", hedge_constraints_path)
     assert rc == 1 and out == "" and "Singular matrix" in err
 
 
@@ -240,6 +243,23 @@ def test_non_finite_risk_parameter_is_validation_error(
     name = argv[-2].lstrip("-").replace("-", "_")
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {name} must be finite and ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--risk-budget", "1e308"],
+    ["--risk-budget", "1e308", "--constraints"],
+    ["--objective", "mean-variance", "--risk-param", "1e308"],
+], ids=["sharpe", "sharpe hedged", "mean-variance"])
+def test_risk_parameter_overflowing_policy_scale(
+    capsys, two_state_market_path, hedge_constraints_path, argv
+):
+    if argv[-1] == "--constraints":
+        argv = [*argv, hedge_constraints_path]
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path,
+                           *argv)
+    name = argv[argv.index("1e308") - 1].lstrip("-").replace("-", "_")
+    assert rc == 2 and out == ""
+    assert err == f"error: {name} 1e+308 makes the policy scale overflow\n"
 
 
 @pytest.mark.parametrize("model", [
@@ -540,5 +560,30 @@ def test_render_json_matches_oracle():
     @hypothesis.given(trees)
     def check(obj):
         assert render_json(obj) == _render_json_oracle(obj)
+
+    check()
+
+
+def test_float_rows_match_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf,
+                         -0.0, 5e-324, 1.7976931348623157e308]),
+    )
+    rows = st.lists(floats, min_size=1, max_size=64)
+    # a float row with one np.float64, int or bool in it takes the generic path
+    mixed = st.tuples(rows, st.one_of(floats.map(np.float64), st.integers(), st.booleans()),
+                      st.integers(0, 64)).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+    tables = st.lists(st.one_of(rows, mixed), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(tables)
+    def check(table):
+        assert render_json(table) == _render_json_oracle(table)
+        float_rows = [r for r in table if set(map(type, r)) == {float}]
+        expected = ["a"] + [",".join(map(smmport.cli._fmt, r)) for r in float_rows]
+        assert smmport.cli._csv_text(["a"], float_rows) == "\n".join(expected) + "\n"
 
     check()

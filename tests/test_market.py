@@ -155,6 +155,28 @@ def test_smm_policy_degenerate():
     np.testing.assert_array_equal(smm_policy(market, Kelly()).weights[0], [0.0])
 
 
+def _one_state(mu: float) -> DiscreteMarket:
+    return DiscreteMarket([(1.0, MomentPair.from_covariance([mu], [[1.0]]))])
+
+
+@pytest.mark.parametrize("solve, mu, objective, name", [
+    # q = 0.8: the scales are 1e308 / 0.4
+    (smm_policy, 2.0, SharpeBudget(risk_budget=1e308), "risk_budget"),
+    (smm_policy, 2.0, MeanVariance(risk_param=1e308), "risk_param"),
+    # the unit covariance policy has risk 0.1
+    (markowitz_policy, 0.1, SharpeBudget(risk_budget=1e308), "risk_budget"),
+], ids=["smm sharpe", "smm mean-variance", "markowitz sharpe"])
+def test_policy_scale_overflow_names_parameter(solve, mu, objective, name):
+    with pytest.raises(DomainError, match=f"^{name} 1e\\+308 makes the policy scale overflow$"):
+        solve(_one_state(mu), objective)
+
+
+def test_markowitz_mean_variance_scale_has_no_intermediate_overflow():
+    # risk_param * mean alone would overflow; the scale is 1e308 * 4 / 8
+    policy = markowitz_policy(_one_state(2.0), MeanVariance(risk_param=1e308))
+    assert policy.weights[0, 0] == pytest.approx(1e308, rel=1e-15)
+
+
 def test_markowitz_policy_known_values(two_state_market):
     policy = markowitz_policy(two_state_market, SharpeBudget(risk_budget=1.0))
     np.testing.assert_allclose(policy.weights[0], [0.5, 0.5], rtol=1e-12)

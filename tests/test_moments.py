@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from smmport import (
     smm_direction,
     tas,
 )
+from smmport.moments import PIVOT_RTOL, _back_solve, _chol_solve, _tri_solve
 from conftest import random_moment_pair, random_spd
 
 STATE_1 = MomentPair.from_covariance([1.0, 1.0], np.eye(2))
@@ -188,6 +190,15 @@ def test_scaling_constant_values():
     assert scaling_constant(0.5, MeanVariance(risk_param=2.0)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("objective, name", [
+    (SharpeBudget(risk_budget=1e308), "risk_budget"),
+    (MeanVariance(risk_param=1e308), "risk_param"),
+])
+def test_scaling_constant_overflow_names_parameter(objective, name):
+    with pytest.raises(DomainError, match=f"^{name} 1e\\+308 makes the policy scale overflow$"):
+        scaling_constant(0.8, objective)
+
+
 def test_scaling_constant_degenerate_and_domain():
     with pytest.raises(DegenerateMarket):
         scaling_constant(0.0, SharpeBudget())
@@ -259,3 +270,75 @@ def test_perf_summary_zero_risk():
 def test_perf_summary_rfr():
     s = PerfSummary(mean=3.0, second_moment=13.0, rfr=1.0)
     assert s.sharpe == pytest.approx(1.0)
+
+
+def _exact_substitution(lower, b, transpose):
+    """L y = b (or L' y = b) for one matrix and one column, by substitution
+    in exact rational arithmetic on the float inputs."""
+    n = len(b)
+    t = [[Fraction(lower[j][i] if transpose else lower[i][j]) for j in range(n)]
+         for i in range(n)]
+    y = [Fraction(0)] * n
+    for i in (reversed(range(n)) if transpose else range(n)):
+        done = range(i + 1, n) if transpose else range(i)
+        y[i] = (Fraction(b[i]) - sum(t[i][j] * y[j] for j in done)) / t[i][i]
+    return y
+
+
+def _forward_error(computed, exact) -> float:
+    """max |computed - exact| / max |exact|, rounded once to float."""
+    err = max(abs(Fraction(c) - e) for c, e in zip(computed, exact))
+    return float(err / max(abs(e) for e in exact))
+
+
+def _factor(rng, n, near_singular):
+    """A validated Cholesky factor; with ``near_singular``, of a matrix
+    whose smallest squared pivot is 1.001 * PIVOT_RTOL of its largest
+    diagonal entry, just inside the guard."""
+    lower = np.tril(rng.standard_normal((n, n)))
+    np.fill_diagonal(lower, np.exp(rng.uniform(-2.0, 2.0, n)))
+    if near_singular:
+        sq = lower[-1, :-1] @ lower[-1, :-1]
+        top = max(np.max(np.einsum("ij,ij->i", lower[:-1], lower[:-1]), initial=0.0), sq)
+        lower[-1, -1] = math.sqrt(1.001 * PIVOT_RTOL * top / (1.0 - 1.001 * PIVOT_RTOL))
+    chol = MomentPair(np.zeros(n), sigma=lower @ lower.T).chol_sigma
+    ratio = np.min(np.diag(chol) ** 2) / np.max(np.diag(lower @ lower.T))
+    assert not near_singular or ratio < 1.01 * PIVOT_RTOL
+    return chol
+
+
+@pytest.mark.parametrize("b_shape", ["n", "n,k", "S,n", "S,n,1", "S,n,k"])
+@pytest.mark.parametrize("n, near_singular", [
+    (1, False), (2, False), (5, False), (2, True), (5, True),
+], ids=["n=1", "n=2", "n=5", "n=2 at the guard", "n=5 at the guard"])
+def test_substitution_against_exact_arithmetic(b_shape, n, near_singular):
+    # forward error of a triangular solve is at most about n eps cond(L)
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 8.2); the
+    # Cholesky solve chains two of them
+    rng = np.random.default_rng([n, len(b_shape), near_singular])
+    dims = {"S": 4, "n": n, "k": 3, "1": 1}
+    b = rng.standard_normal([dims[d] for d in b_shape.split(",")])
+    lowers = np.stack([_factor(rng, n, near_singular) for _ in range(4)])
+    if not b_shape.startswith("S"):
+        lowers = lowers[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = {"forward": _tri_solve(lowers, b), "back": _back_solve(lowers, b),
+                   "cholesky": _chol_solve(lowers, b)}
+    eps = np.finfo(np.float64).eps
+    vector = b.ndim == lowers.ndim - 1
+    columns = b[..., None] if vector else b
+    for name, y in results.items():
+        assert y.shape == b.shape
+        y = y[..., None] if vector else y
+        for lower, bs, ys in zip(lowers.reshape(-1, n, n), columns.reshape(-1, n, columns.shape[-1]),
+                                 y.reshape(-1, n, columns.shape[-1])):
+            cond = np.linalg.cond(lower, np.inf)
+            cond_t = np.linalg.cond(lower.T, np.inf)
+            bound = {"forward": cond, "back": cond_t, "cholesky": cond * cond_t}[name]
+            for col, computed in zip(bs.T.tolist(), ys.T.tolist()):
+                if name == "cholesky":
+                    col = _exact_substitution(lower.tolist(), col, False)
+                exact = _exact_substitution(lower.tolist(), col, name != "forward")
+                err = _forward_error(computed, exact)
+                assert err <= 4 * n * eps * bound, (name, err, bound)
