@@ -47,6 +47,7 @@ from .moments import (
     _as_square,
     _as_vector,
     _back_solve,
+    _finite_scale,
     _is_integer,
     _lock,
     _symmetrize,
@@ -323,7 +324,8 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     computed from conditional moments per sampled f, never from sampled
     returns.
     """
-    risk_budget = SharpeBudget(risk_budget=float(risk_budget)).risk_budget
+    budget = SharpeBudget(risk_budget=float(risk_budget))
+    risk_budget = budget.risk_budget
     sums = _collect_sums(model, cfg)
     n = cfg.n_samples
     a1, a2, a3, a4, s1, s2, s3, s4, as1, as2 = sums
@@ -394,8 +396,8 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
         rescale_se = 0.0
     rescale = McEstimate(value=rescale_val, std_error=rescale_se, n=n)
 
-    smm_scale = risk_budget / math.sqrt(a_bar * (1.0 - a_bar))
-    mp_scale = risk_budget / math.sqrt(v)
+    smm_scale = _finite_scale(risk_budget / math.sqrt(a_bar * (1.0 - a_bar)), budget)
+    mp_scale = _finite_scale(risk_budget / math.sqrt(v), budget)
     return LcemComparison(
         q=q_est, sr_smm=sr_smm, sr_mp=sr_mp, delta_sr=delta,
         rescale_std=rescale, smm_scale=smm_scale, mp_scale=mp_scale,

@@ -1,7 +1,10 @@
 """Discrete-feature markets and policy evaluation.
 
 A market is a finite set of S states, each carrying a probability and a
-conditional moment pair over n assets. It is stored as stacked,
+conditional moment pair over n assets. Every market, whether read from
+JSON, given as ``MomentPair`` states or merged, is built by
+``DiscreteMarket.from_arrays``, which checks all states at once
+(:func:`smmport.moments._pair_stacks`) and stores them as stacked,
 read-only arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``,
 ``second_moment`` and their lower Cholesky factors (S, n, n), each
 factor from one batched factorization. At construction the market also
@@ -42,7 +45,6 @@ from .moments import (
     SharpeBudget,
     _back_solve,
     _finite_scale,
-    _is_integer,
     _lock,
     _pair_stacks,
     _tri_solve,
@@ -57,7 +59,7 @@ Q_CONSISTENCY_TOL = 1e-10
 
 # Per-state arrays of a market, each with the state axis first.
 _STACKS = (
-    "mu", "sigma", "second_moment", "chol_sigma", "chol_second",
+    "probs", "mu", "sigma", "second_moment", "chol_sigma", "chol_second",
     "second_supplied", "smm_directions", "markowitz_directions",
     "conditional_q", "conditional_sharpe_sq",
 )
@@ -79,19 +81,6 @@ def _float_rows(rows) -> np.ndarray | None:
         return None
 
 
-def _state_solves(mu, chol_sigma, chol_second) -> dict:
-    """Directions and squared ratios of every state, batched over states."""
-    out = {}
-    for direction, ratio, lower in (
-        ("markowitz_directions", "conditional_sharpe_sq", chol_sigma),
-        ("smm_directions", "conditional_q", chol_second),
-    ):
-        y = _tri_solve(lower, mu)
-        out[direction] = _back_solve(lower, y)
-        out[ratio] = np.einsum("si,si->s", y, y)
-    return out
-
-
 def _check_probs(probs: np.ndarray) -> None:
     bad = ~((probs > 0.0) & (probs <= 1.0 + PROB_SUM_TOL))
     if bad.any():
@@ -104,16 +93,14 @@ def _check_probs(probs: np.ndarray) -> None:
         raise DomainError(f"state probabilities sum to {total!r}, not 1")
 
 
-def _parse(raw: list) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Probabilities, validated stacks and per-state asymmetry of raw JSON
-    states. Raises the error of the first failing check, naming no state."""
+def _parse(raw: list) -> tuple[list, list, list, np.ndarray]:
+    """Probabilities, mean rows, matrix rows and ``second_supplied`` of raw
+    JSON states. Raises the error of the first failing check, naming no state."""
     try:
         given = np.array(["second_moment" in e for e in raw])
         probs = [e["prob"] for e in raw]
-        mu = _float_rows([e["mu"] for e in raw])
-        mats = _float_rows([
-            e["second_moment"] if s else e["sigma"] for e, s in zip(raw, given.tolist())
-        ])
+        mu = [e["mu"] for e in raw]
+        mats = [e["second_moment"] if s else e["sigma"] for e, s in zip(raw, given.tolist())]
     except (TypeError, KeyError):
         raise DomainError('needs "prob", "mu", and "sigma" or "second_moment"') from None
     # np.array would read None as NaN and a numeric string as its value;
@@ -121,13 +108,30 @@ def _parse(raw: list) -> tuple[np.ndarray, dict, np.ndarray]:
     types = set(map(type, probs))
     if not all(issubclass(t, numbers.Real) and t is not bool for t in types):
         raise DomainError("prob must be a number")
+    return probs, mu, mats, given
+
+
+def _state_stacks(probs, mu, mats, second_supplied) -> tuple[dict, np.ndarray]:
+    """Every check of a market's states, on new arrays copied from the
+    inputs: shapes, then :func:`moments._pair_stacks`. Returns the stacks,
+    ``probs`` among them, and each state's asymmetry; the first failing
+    check raises, naming no state."""
+    probs, mu, mats = map(_float_rows, (probs, mu, mats))
+    given = np.array(second_supplied)
+    if (probs is None or probs.ndim != 1 or not probs.size
+            or given.shape != probs.shape or given.dtype != bool):
+        raise DimensionMismatch("probs and second_supplied must be nonempty, one per state")
     if mu is None or mu.ndim != 2 or not mu.shape[1]:
         raise DimensionMismatch("mu must be a nonempty vector as long as state 0's")
+    if len(mu) != len(probs):
+        raise DimensionMismatch(f"mu has {len(mu)} rows for {len(probs)} states")
     if mats is None or mats.shape != mu.shape + mu.shape[1:]:
         n = mu.shape[1]
         # when a bad state is being named, it is the last state parsed
         raise DomainError(f"{'second_moment' if given[-1] else 'sigma'} must be {n}x{n}")
-    return (np.array(probs, dtype=np.float64), *_pair_stacks(mu, mats, given))
+    stacks, asymmetry = _pair_stacks(mu, mats, given)
+    stacks["probs"] = probs
+    return stacks, asymmetry
 
 
 class DiscreteMarket:
@@ -140,45 +144,51 @@ class DiscreteMarket:
     ``MomentPair`` views, built on first access.
     """
 
-    __slots__ = ("probs",) + _STACKS + ("_states",)
+    __slots__ = _STACKS + ("_states",)
 
     def __init__(self, states: Iterable[tuple[float, MomentPair]]):
         states = tuple((float(p), m) for p, m in states)
         if not states:
             raise DomainError("market needs at least one state")
         pairs = [m for _, m in states]
-        bad = [i for i, m in enumerate(pairs) if not isinstance(m, MomentPair)]
-        if bad:
-            raise DomainError(f"state {bad[0]}: moments must be a MomentPair")
-        probs = np.array([p for p, _ in states])
-        _check_probs(probs)
-        sizes = np.array([m.n for m in pairs])
-        if (sizes != sizes[0]).any():
-            i = int(np.argmax(sizes != sizes[0]))
-            raise DimensionMismatch(f"state {i} has {sizes[i]} assets, expected {sizes[0]}")
-        stacks = {
-            name: np.stack([getattr(m, name) for m in pairs])
-            for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second")
-        }
-        stacks["second_supplied"] = np.array([m.supplied == "second_moment" for m in pairs])
-        self._assign(probs, stacks)
+        for i, m in enumerate(pairs):
+            if not isinstance(m, MomentPair):
+                raise DomainError(f"state {i}: moments must be a MomentPair")
+            if m.n != pairs[0].n:
+                raise DimensionMismatch(f"state {i} has {m.n} assets, expected {pairs[0].n}")
+        given = [m.supplied == "second_moment" for m in pairs]
+        mats = [m.second_moment if g else m.sigma for m, g in zip(pairs, given)]
+        market = self.from_arrays([p for p, _ in states], [m.mu for m in pairs], mats, given)
+        for name in self.__slots__:
+            setattr(self, name, getattr(market, name))
         self._states = states
 
-    def _assign(self, probs: np.ndarray, stacks: dict) -> None:
-        if "conditional_q" not in stacks:
-            stacks.update(_state_solves(
-                stacks["mu"], stacks["chol_sigma"], stacks["chol_second"]
-            ))
-        self.probs = _lock(probs)
-        for name in _STACKS:
-            setattr(self, name, _lock(stacks[name]))
-        self._states = None
-
     @classmethod
-    def _from_stacks(cls, probs: np.ndarray, stacks: dict) -> "DiscreteMarket":
-        _check_probs(probs)
+    def from_arrays(cls, probs, mu, mats, second_supplied) -> "DiscreteMarket":
+        """Build a market from ``probs`` (S,), ``mu`` (S, n), ``mats``
+        (S, n, n) and bools ``second_supplied`` (S,), where ``mats[s]`` is
+        state s's second moment if ``second_supplied[s]``, else its
+        covariance. Every constructor ends here. The inputs are copied,
+        never locked or shared. State checks run before probability checks;
+        the first to fail raises. Warns for each asymmetric matrix, naming
+        its state, and solves every state once, batched."""
+        stacks, asymmetry = _state_stacks(probs, mu, mats, second_supplied)
+        _check_probs(stacks["probs"])
+        for i in np.flatnonzero(asymmetry).tolist():
+            name = "second_moment" if stacks["second_supplied"][i] else "sigma"
+            warnings.warn(f"state {i}: {name} deviates from symmetry by "
+                          f"{asymmetry[i]:.3e}; symmetrizing", stacklevel=2)
+        for direction, ratio, lower in (
+            ("markowitz_directions", "conditional_sharpe_sq", stacks["chol_sigma"]),
+            ("smm_directions", "conditional_q", stacks["chol_second"]),
+        ):
+            y = _tri_solve(lower, stacks["mu"])
+            stacks[direction] = _back_solve(lower, y)
+            stacks[ratio] = np.einsum("si,si->s", y, y)
         market = cls.__new__(cls)
-        market._assign(probs, stacks)
+        for name in _STACKS:
+            setattr(market, name, _lock(stacks[name]))
+        market._states = None
         return market
 
     @property
@@ -223,45 +233,34 @@ class DiscreteMarket:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMarket":
-        """Parse ``{"states": [{"prob", "mu", "sigma"|"second_moment"}, ...]}``.
-
-        All states are validated and factorized at once, by one parse
-        and the batched check of :mod:`smmport.moments`. If that fails,
-        bisection finds the first bad state: each probe parses state 0
-        (so widths are checked against state 0's) with the left half of
-        the remaining range, and the half that fails is kept, down to one
-        state, whose error is raised again as ``state i: ...``. Warns once
-        for each asymmetric matrix, naming its state.
-        """
+        """Parse ``{"states": [{"prob", "mu", "sigma"|"second_moment"}, ...]}``
+        and build the market with :meth:`from_arrays`. If that fails,
+        bisection finds the first bad state: each probe runs the state
+        checks of :meth:`from_arrays` on state 0 (so widths are checked
+        against state 0's) and the left half of the remaining range, and
+        the half that fails is kept, down to one state, whose error is
+        raised again as ``state i: ...``."""
         if not isinstance(data, dict) or "states" not in data:
             raise DomainError('market JSON must be an object with a "states" list')
         raw = data["states"]
         if not isinstance(raw, list) or not raw:
             raise DomainError('"states" must be a nonempty list')
         try:
-            probs, stacks, asymmetry = _parse(raw)
+            return cls.from_arrays(*_parse(raw))
         except SmmError:
             lo, hi = 0, len(raw)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 try:
-                    _parse([raw[0], *raw[lo:mid]])
+                    _state_stacks(*_parse([raw[0], *raw[lo:mid]]))
                     lo = mid
                 except SmmError:
                     hi = mid
             try:
-                _parse([raw[0], raw[lo]])
+                _state_stacks(*_parse([raw[0], raw[lo]]))
             except SmmError as exc:
                 raise type(exc)(f"state {lo}: {exc}") from None
             raise
-        for i in np.flatnonzero(asymmetry).tolist():
-            name = "second_moment" if stacks["second_supplied"][i] else "sigma"
-            warnings.warn(
-                f"state {i}: {name} deviates from symmetry by {asymmetry[i]:.3e}; "
-                "symmetrizing",
-                stacklevel=2,
-            )
-        return cls._from_stacks(probs, stacks)
 
 
 class Policy:
@@ -322,13 +321,17 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
 
     mean = sum_s p_s mu_s' w_s and second moment = sum_s p_s w_s' A_s w_s;
     the quadratic form is computed through the Cholesky factor of A_s so
-    it is nonnegative by construction.
+    it is nonnegative by construction. A second moment that overflows
+    raises :class:`DomainError`.
     """
     _check_dims(market, policy)
     w = policy.weights
     y = np.einsum("sji,sj->si", market.chol_second, w)
-    mean = _fsum_states(market.probs * np.einsum("si,si->s", market.mu, w))
     second = _fsum_states(market.probs * np.einsum("si,si->s", y, y))
+    if not math.isfinite(second):
+        raise DomainError("the policy's second moment overflows: its weights are too large")
+    # |mu_s' w_s| <= sqrt(w_s' A_s w_s), so the mean is finite too
+    mean = _fsum_states(market.probs * np.einsum("si,si->s", market.mu, w))
     return PerfSummary(mean=mean, second_moment=second, rfr=float(rfr))
 
 
@@ -398,15 +401,18 @@ def merge_states(
 
     The merged state carries the probability-weighted mean and second
     moment of its members (second moments, not covariances, are affine in
-    the mixture); its covariance is recovered as A - mu mu'. The merged
-    state is placed at the smallest merged index; the other states keep
-    their already validated arrays. Returns the new market and
-    delta_q = q(merged) - q(original), which is never positive.
+    the mixture); its covariance is recovered as A - mu mu'. It is placed
+    at the smallest merged index, and :meth:`DiscreteMarket.from_arrays`
+    checks the other states again, which keeps their bits. Returns the new
+    market and delta_q = q(merged) - q(original), which is never positive.
     """
     subset = list(subset)
-    bad = [i for i in subset if not _is_integer(i)]
+    # checking each distinct type once keeps this off the per-index path
+    types = set(map(type, subset))
+    bad = [t for t in types if not issubclass(t, (int, np.integer)) or t is bool]
     if bad:
-        raise InvalidSubset(f"subset index {bad[0]!r} is not an integer")
+        first = next(i for i in subset if type(i) in bad)
+        raise InvalidSubset(f"subset index {first!r} is not an integer")
     idx = sorted(set(int(i) for i in subset))
     if len(idx) < 2:
         raise InvalidSubset("need at least two distinct states to merge")
@@ -418,16 +424,10 @@ def merge_states(
     p_merged = 1.0 if len(idx) == market.n_states else math.fsum(p.tolist())
     mu_acc = _fsum_states(p[:, None] * market.mu[idx])
     a_acc = _fsum_states(p[:, None, None] * market.second_moment[idx])
-    merged = DiscreteMarket([(1.0, MomentPair.from_second_moment(
-        mu_acc / p_merged, a_acc / p_merged
-    ))])
-
-    drop = idx[1:]
-    stacks = {}
-    for name in _STACKS:
-        stacks[name] = np.delete(getattr(market, name), drop, axis=0)
-        stacks[name][idx[0]] = getattr(merged, name)[0]
-    probs = np.delete(market.probs, drop)
-    probs[idx[0]] = p_merged
-    new_market = DiscreteMarket._from_stacks(probs, stacks)
+    given = market.second_supplied
+    mats = np.where(given[:, None, None], market.second_moment, market.sigma)
+    arrays = [np.delete(a, idx[1:], axis=0) for a in (market.probs, market.mu, mats, given)]
+    for a, merged in zip(arrays, (p_merged, mu_acc / p_merged, a_acc / p_merged, True)):
+        a[idx[0]] = merged
+    new_market = DiscreteMarket.from_arrays(*arrays)
     return new_market, q_of(new_market) - q_of(market)

@@ -262,6 +262,30 @@ def test_risk_parameter_overflowing_policy_scale(
     assert err == f"error: {name} 1e+308 makes the policy scale overflow\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--risk-budget", "1e200"],
+    ["--objective", "mean-variance", "--risk-param", "5e307"],
+    ["--objective", "mean-variance", "--risk-param", "1e308", "--constraints"],
+], ids=["sharpe", "mean-variance", "mean-variance hedged"])
+def test_policy_second_moment_overflow(
+    capsys, two_state_market_path, hedge_constraints_path, argv
+):
+    # each policy scale is finite; the second moment it gives is not
+    if argv[-1] == "--constraints":
+        argv = [*argv, hedge_constraints_path]
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path,
+                           *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: the policy's second moment overflows: its weights are too large\n"
+
+
+def test_simulate_lcem_scale_overflow(capsys, lcem_model_path):
+    rc, out, err = run_cli(capsys, "simulate-lcem", "--model", lcem_model_path,
+                           "--n", "1000", "--risk-budget", "1e308")
+    assert rc == 2 and out == ""
+    assert err == "error: risk_budget 1e+308 makes the policy scale overflow\n"
+
+
 @pytest.mark.parametrize("model", [
     {"B": [[1e9]], "sigma": [[1e-9]], "feature_mean": [1.0], "feature_cov": [[0.0]]},
     {"B": [[1e200]], "sigma": [[1.0]], "feature_mean": [1.0], "feature_cov": [[1.0]]},

@@ -300,6 +300,12 @@ def test_compare_policies_validation():
             compare_policies(model, McConfig(n_samples=100, seed=0), bad)
 
 
+def test_compare_policies_scale_overflow():
+    model = small_model(seed=10)
+    with pytest.raises(DomainError, match="^risk_budget 1e\\+308 makes the policy scale overflow$"):
+        compare_policies(model, McConfig(n_samples=100, seed=0), 1e308)
+
+
 STRONG_SIGNALS = {
     # q = s/(1+s) rounds to 1, so 1 - q is 0
     "q rounds to 1": {"B": [[1e9]], "sigma": [[1e-9]], "feature_mean": [1.0],

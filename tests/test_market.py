@@ -177,6 +177,16 @@ def test_markowitz_mean_variance_scale_has_no_intermediate_overflow():
     assert policy.weights[0, 0] == pytest.approx(1e308, rel=1e-15)
 
 
+@pytest.mark.parametrize("objective", [
+    SharpeBudget(risk_budget=1e200), MeanVariance(risk_param=5e307),
+], ids=["sharpe", "mean-variance"])
+def test_evaluate_rejects_overflowing_second_moment(two_state_market, objective):
+    # the policy scale is finite, but its square times q is not
+    policy = smm_policy(two_state_market, objective)
+    with pytest.raises(DomainError, match="^the policy's second moment overflows"):
+        evaluate(two_state_market, policy)
+
+
 def test_markowitz_policy_known_values(two_state_market):
     policy = markowitz_policy(two_state_market, SharpeBudget(risk_budget=1.0))
     np.testing.assert_allclose(policy.weights[0], [0.5, 0.5], rtol=1e-12)

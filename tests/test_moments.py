@@ -267,6 +267,11 @@ def test_perf_summary_zero_risk():
     assert off.sharpe == 0.0
 
 
+def test_perf_summary_variance_of_huge_mean():
+    # mean**2 passes the float maximum, so it exceeds the second moment
+    assert PerfSummary(mean=1e200, second_moment=1e300).variance == 0.0
+
+
 def test_perf_summary_rfr():
     s = PerfSummary(mean=3.0, second_moment=13.0, rfr=1.0)
     assert s.sharpe == pytest.approx(1.0)

@@ -36,6 +36,9 @@ from conftest import random_spd
 
 RTOL = 1e-12
 SIZES = [(s, n) for s in (1, 2, 7, 500) for n in range(1, 6)]
+STACKS = ("probs", "mu", "sigma", "second_moment", "chol_sigma", "chol_second",
+          "second_supplied", "smm_directions", "markowitz_directions",
+          "conditional_q", "conditional_sharpe_sq")
 
 
 def random_market_dict(rng, n_states, n_assets):
@@ -372,7 +375,9 @@ def test_ragged_policy_names_state():
         Policy([1.0, 2.0])
 
 
-@pytest.mark.parametrize("subset", [[0, 1.9], [0, True], [np.bool_(False), 1], [0, "1"]])
+@pytest.mark.parametrize(
+    "subset", [[0, 1.9], [0, True], [np.bool_(False), 1], [0, "1"], [0, None], [object(), 1]]
+)
 def test_merge_rejects_non_integer_indices(two_state_market, subset):
     with pytest.raises(InvalidSubset, match="not an integer"):
         merge_states(two_state_market, subset)
@@ -388,3 +393,112 @@ def test_merge_accepts_numpy_integers():
     same, again = merge_states(market, [int(i) for i in subset])
     assert again == delta_q
     np.testing.assert_array_equal(same.mu, merged.mu)
+
+
+def market_arrays(data):
+    """The ``from_arrays`` inputs of a market dict."""
+    states = data["states"]
+    given = np.array(["second_moment" in st for st in states])
+    mats = [st["second_moment"] if g else st["sigma"] for st, g in zip(states, given)]
+    return (np.array([st["prob"] for st in states]), np.array([st["mu"] for st in states]),
+            np.array(mats), given)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("as_lists", [False, True], ids=["arrays", "lists"])
+@pytest.mark.parametrize("n_states", [1, 7, 500])
+def test_from_arrays_matches_from_dict_bitwise(n_states, as_lists):
+    rng = np.random.default_rng(6000 + n_states)
+    data = random_market_dict(rng, n_states, int(rng.integers(1, 6)))
+    arrays = market_arrays(data)
+    if as_lists:
+        arrays = [a.tolist() for a in arrays]
+    got = DiscreteMarket.from_arrays(*arrays)
+    want = DiscreteMarket.from_dict(data)
+    for name in STACKS:
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("n_states", [2, 7, 500])
+def test_merge_keeps_other_rows_and_merges_the_mixture(n_states):
+    rng = np.random.default_rng(7000 + n_states)
+    n_assets = 3
+    market = DiscreteMarket.from_dict(random_market_dict(rng, n_states, n_assets))
+    subset = sorted(rng.choice(n_states, size=max(2, n_states // 4), replace=False).tolist())
+    merged, _ = merge_states(market, subset)
+
+    # the new market's rows come from these rows of the old one, in order;
+    # row k is the merged state
+    kept = [i for i in range(n_states) if i not in subset[1:]]
+    k = kept.index(subset[0])
+    others = [j for j in range(len(kept)) if j != k]
+    for name in STACKS:
+        assert_same_bits(getattr(merged, name)[others],
+                         getattr(market, name)[[kept[j] for j in others]])
+
+    p = market.probs[subset].tolist()
+    p_m = 1.0 if len(subset) == n_states else math.fsum(p)
+    mu_m = np.array([math.fsum(pi * market.mu[i, a] for pi, i in zip(p, subset))
+                     for a in range(n_assets)]) / p_m
+    a_m = np.array([[math.fsum(pi * market.second_moment[i, a, b] for pi, i in zip(p, subset))
+                     for b in range(n_assets)] for a in range(n_assets)]) / p_m
+    pair = MomentPair.from_second_moment(mu_m, a_m)
+    assert merged.probs[k] == p_m and merged.second_supplied[k]
+    for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second"):
+        assert_same_bits(getattr(merged, name)[k], getattr(pair, name))
+
+
+# Each way the four inputs of from_arrays can disagree in shape, with the
+# error it raises.
+BAD_SHAPE = {
+    "short probs": (DimensionMismatch, lambda p, m, a, g: (p[:-1], m, a, g)),
+    "2-d probs": (DimensionMismatch, lambda p, m, a, g: (p[None], m, a, g)),
+    "short second_supplied": (DimensionMismatch, lambda p, m, a, g: (p, m, a, g[:-1])),
+    "int second_supplied": (DimensionMismatch, lambda p, m, a, g: (p, m, a, g.astype(int))),
+    "no states": (DimensionMismatch, lambda p, m, a, g: (p[:0], m[:0], a[:0], g[:0])),
+    "short mu": (DimensionMismatch, lambda p, m, a, g: (p, m[:-1], a, g)),
+    "1-d mu": (DimensionMismatch, lambda p, m, a, g: (p, m[:, 0], a, g)),
+    "ragged mu": (DimensionMismatch, lambda p, m, a, g: (p, [*m[:-1], m[-1, :1]], a, g)),
+    "short mats": (DomainError, lambda p, m, a, g: (p, m, a[:-1], g)),
+    "non-square mats": (DomainError, lambda p, m, a, g: (p, m, a[:, :, :1], g)),
+    "2-d mats": (DomainError, lambda p, m, a, g: (p, m, a[0], g)),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_SHAPE))
+def test_from_arrays_names_shape_errors(kind):
+    rng = np.random.default_rng(8)
+    error, spoil = BAD_SHAPE[kind]
+    arrays = spoil(*market_arrays(random_market_dict(rng, 4, 2)))
+    with pytest.raises(error) as caught:
+        DiscreteMarket.from_arrays(*arrays)
+    assert type(caught.value) is error
+
+
+def test_from_arrays_checks_states_before_probabilities():
+    probs, mu, mats, given = market_arrays(random_market_dict(np.random.default_rng(9), 4, 2))
+    probs[2] = 0.0
+    mats[3] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(NotPositiveDefinite):
+        DiscreteMarket.from_arrays(probs, mu, mats, given)
+    mats[3] = np.eye(2)
+    with pytest.raises(DomainError, match="^state 2: probability"):
+        DiscreteMarket.from_arrays(probs, mu, mats, given)
+
+
+def test_from_arrays_copies_its_inputs():
+    arrays = market_arrays(random_market_dict(np.random.default_rng(10), 5, 3))
+    before = [a.copy() for a in arrays]
+    market = DiscreteMarket.from_arrays(*arrays)
+    for arg, kept in zip(arrays, before):
+        assert arg.flags.writeable
+        assert_same_bits(arg, kept)
+        for name in STACKS:
+            assert not np.shares_memory(arg, getattr(market, name))
+            assert not getattr(market, name).flags.writeable
+    arrays[1][0] += 1.0
+    assert_same_bits(market.mu[0], before[1][0])
