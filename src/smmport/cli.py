@@ -35,17 +35,10 @@ from .leverage import LeverageSample, leverage_curve
 from .market import DiscreteMarket, evaluate, merge_states, q_of, smm_policy
 from .moments import Kelly, MeanVariance, SharpeBudget, optimal_objective_value
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _fmt(x: float) -> str:
-    text = format(x, ".17g")
-    return _NON_FINITE.get(text, text)
-
 
 def _fmt_row(row, sep: str) -> str:
-    """The Python floats of ``row`` as ``_fmt`` writes them, joined by
-    ``sep``, in one formatting call."""
+    """The floats of ``row`` at 17 significant digits, with NaN and
+    Infinity spelled as in JSON, joined by ``sep`` in one formatting call."""
     text = sep.join(["%.17g"] * len(row)) % tuple(row)
     # a finite float never formats with an "n": only nan and inf need renaming
     if "n" in text:
@@ -59,7 +52,7 @@ def render_json(obj) -> str:
     def emit(o) -> str:
         # floats first: they are nearly every value rendered
         if isinstance(o, float):
-            return _fmt(o)
+            return _fmt_row([o], "")
         if isinstance(o, list) and set(map(type, o)) == {float}:
             return "[" + _fmt_row(o, ", ") + "]"
         if isinstance(o, dict):
@@ -72,7 +65,7 @@ def render_json(obj) -> str:
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, np.floating):
-            return _fmt(float(o))
+            return _fmt_row([float(o)], "")
         if o is None:
             return "null"
         return json.dumps(str(o))
@@ -154,11 +147,11 @@ def _format_report_text(report: LcemComparison, cfg: McConfig) -> str:
     ]
     lines = [f"{'metric':<12} {'value':>24} {'std_error':>24} {'n':>9}"]
     for name, est in rows:
-        lines.append(
-            f"{name:<12} {_fmt(est.value):>24} {_fmt(est.std_error):>24} {est.n:>9d}"
-        )
-    lines.append(f"{'smm_scale':<12} {_fmt(report.smm_scale):>24}")
-    lines.append(f"{'mp_scale':<12} {_fmt(report.mp_scale):>24}")
+        value = _fmt_row([est.value], "")
+        std_error = _fmt_row([est.std_error], "")
+        lines.append(f"{name:<12} {value:>24} {std_error:>24} {est.n:>9d}")
+    lines.append(f"{'smm_scale':<12} {_fmt_row([report.smm_scale], ''):>24}")
+    lines.append(f"{'mp_scale':<12} {_fmt_row([report.mp_scale], ''):>24}")
     lines.append(f"{'seed':<12} {cfg.seed:>24d}")
     return "\n".join(lines) + "\n"
 

@@ -42,7 +42,7 @@ from .market import (
     DiscreteMarket,
     Policy,
     _fsum_states,
-    _vector_rows,
+    _per_state_vectors,
     evaluate,
     q_of,
     smm_policy,
@@ -60,17 +60,6 @@ from .moments import (
 
 # Reject constraint systems whose matrix M has condition estimate above this.
 CONDITION_LIMIT = 1e12
-
-
-def _per_state_vectors(x, market: DiscreteMarket, name: str) -> np.ndarray:
-    """Read-only (S, n) array from a Policy or a sequence of per-state vectors."""
-    v = x.weights if isinstance(x, Policy) else _vector_rows(x, name)
-    if v.shape != (market.n_states, market.n_assets):
-        raise DimensionMismatch(
-            f"{name} is {v.shape[0]} states of {v.shape[1]} assets, market has "
-            f"{market.n_states} of {market.n_assets}"
-        )
-    return v
 
 
 def inner_product(x, y, market: DiscreteMarket) -> float:

@@ -44,8 +44,7 @@ from .errors import DegenerateMarket, DomainError, NotPositiveDefinite
 from .moments import (
     MomentPair,
     SharpeBudget,
-    _as_square,
-    _as_vector,
+    _as_array,
     _back_solve,
     _finite_scale,
     _is_integer,
@@ -62,7 +61,8 @@ class LcemModel:
 
     ``signal_factor`` and ``signal_offset`` are C = inv(L) B F and
     d = inv(L) B m (see the module docstring), so that
-    s = ||C z + d||^2 for a standard normal z.
+    s = ||C z + d||^2 for a standard normal z. Every array is the
+    model's own read-only float64 copy of a finite input.
     """
 
     __slots__ = ("B", "sigma", "feature_mean", "feature_cov",
@@ -70,19 +70,17 @@ class LcemModel:
                  "signal_factor", "signal_offset")
 
     def __init__(self, B, sigma, feature_mean, feature_cov):
-        b_mat = np.ascontiguousarray(B, dtype=np.float64)
-        if b_mat.ndim != 2 or not b_mat.size:
-            raise DomainError("B must be a nonempty 2-d matrix")
-        if not np.all(np.isfinite(b_mat)):
-            raise DomainError("B has non-finite entries")
+        b_mat = _as_array(B, "B", 2)
         n, k = b_mat.shape
         # with mu = 0, A = Sigma: the moment-pair check validates Sigma
         residual = MomentPair(np.zeros(n), sigma=sigma)
-        fmean = _as_vector(feature_mean, "feature_mean")
+        fmean = _as_array(feature_mean, "feature_mean", 1)
         if fmean.size != k:
             raise DomainError(f"feature_mean must have length {k}")
-        fcov = _symmetrize(_as_square(feature_cov, k, "feature_cov"),
-                           "feature_cov")
+        fcov = _as_array(feature_cov, "feature_cov", 2)
+        if fcov.shape != (k, k):
+            raise DomainError(f"feature_cov must be {k}x{k}, got {fcov.shape}")
+        fcov = _symmetrize(fcov, "feature_cov")
 
         chol = self.chol_sigma = residual.chol_sigma
         factor = _psd_factor(fcov, "feature_cov")
@@ -196,8 +194,9 @@ def lcem_conditional_weights(model: LcemModel, f, scale: float = 1.0) -> np.ndar
 
     scale * inv(Sigma) B f / (1 + (B f)' inv(Sigma) (B f)), the
     second-moment direction of the conditional moment pair (B f, Sigma).
+    ``f`` is copied to float64 and must be finite.
     """
-    fv = _as_vector(f, "f")
+    fv = _as_array(f, "f", 1)
     if fv.size != model.n_features:
         raise DomainError(f"f must have length {model.n_features}")
     signal = model.B @ fv

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
+from .moments import _as_array, _lock
 
 # Grid points whose total kernel mass falls below this are emitted as
 # missing (NaN) rather than dividing by ~0.
@@ -95,13 +96,14 @@ def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
 
     Gaussian kernel with a finite, positive bandwidth. Points with
     vanishing kernel mass come back NaN. Where defined, the estimate is
-    a convex combination of the ys.
+    a convex combination of the ys. ``xs``, ``ys`` and ``grid`` are
+    copied to float64 vectors, which must be nonempty and finite.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if xs.ndim != 1 or ys.shape != xs.shape:
-        raise ShapeMismatch("xs and ys must be 1-d arrays of equal length")
+    xs = _as_array(xs, "xs", 1)
+    ys = _as_array(ys, "ys", 1)
+    grid = _as_array(grid, "grid", 1)
+    if ys.shape != xs.shape:
+        raise ShapeMismatch("xs and ys must have equal length")
     if xs.size < 2:
         raise DomainError("need at least two samples")
     mask, est = _nw_estimates(xs, ys[None, :], grid, _positive(bandwidth, "bandwidth"))
@@ -112,7 +114,8 @@ def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeverageSample:
-    """Observed leverage and strategy returns; y = z / x derived."""
+    """Observed leverage and strategy returns, and y = z / x, each the
+    sample's own read-only float64 copy."""
 
     x: np.ndarray
     z: np.ndarray
@@ -120,20 +123,15 @@ class LeverageSample:
 
     @classmethod
     def from_observations(cls, leverage, strategy_returns) -> "LeverageSample":
-        x = np.ascontiguousarray(leverage, dtype=np.float64)
-        z = np.ascontiguousarray(strategy_returns, dtype=np.float64)
-        if x.ndim != 1 or z.shape != x.shape:
-            raise ShapeMismatch("leverage and returns must be 1-d, equal length")
+        x = _as_array(leverage, "leverage", 1)
+        z = _as_array(strategy_returns, "returns", 1)
+        if z.shape != x.shape:
+            raise ShapeMismatch("leverage and returns must have equal length")
         if x.size < 2:
             raise DomainError("need at least two observations")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(z)):
-            raise DomainError("observations must be finite")
         if not np.all(x > 0.0):
             raise DomainError("leverage must be strictly positive")
-        y = z / x
-        for arr in (x, z, y):
-            arr.flags.writeable = False
-        return cls(x=x, z=z, y=y)
+        return cls(x=_lock(x), z=_lock(z), y=_lock(z / x))
 
     @property
     def n(self) -> int:
@@ -170,8 +168,8 @@ def leverage_curve(
     ----------
     sample : LeverageSample
     grid : array, optional
-        Strictly increasing evaluation points; defaults to 101 equally
-        spaced points spanning the observed leverage range.
+        Finite, strictly increasing evaluation points, copied; defaults
+        to 101 equally spaced points spanning the observed leverage range.
     bandwidth : float, optional
         Gaussian kernel bandwidth; defaults to Silverman's rule.
     floor : float, optional
@@ -187,10 +185,8 @@ def leverage_curve(
         grid = np.linspace(float(sample.x.min()), float(sample.x.max()),
                            DEFAULT_GRID_SIZE)
     else:
-        grid = np.ascontiguousarray(grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0:
-            raise DomainError("grid must be a nonempty 1-d array")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+        grid = _as_array(grid, "grid", 1)
+        if not np.all(np.diff(grid) > 0.0):
             raise DomainError("grid must be strictly increasing")
     hint = ""
     if bandwidth is None:
@@ -206,9 +202,5 @@ def leverage_curve(
         floor = max(1e-8 * float(s_raw.max(initial=0.0)), np.finfo(np.float64).tiny)
     s_hat = np.maximum(s_raw, _positive(floor, "floor"))
 
-    curve = LeverageCurve(
-        grid=grid[mask], m_hat=m_hat, s_hat=s_hat, lever_hat=m_hat / s_hat
-    )
-    for arr in (curve.grid, curve.m_hat, curve.s_hat, curve.lever_hat):
-        arr.flags.writeable = False
-    return curve
+    return LeverageCurve(grid=_lock(grid[mask]), m_hat=_lock(m_hat),
+                         s_hat=_lock(s_hat), lever_hat=_lock(m_hat / s_hat))

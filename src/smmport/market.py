@@ -2,10 +2,10 @@
 
 A market is a finite set of S states, each carrying a probability and a
 conditional moment pair over n assets. Every market, whether read from
-JSON, given as ``MomentPair`` states or merged, is built by
-``DiscreteMarket.from_arrays``, which checks all states at once
-(:func:`smmport.moments._pair_stacks`) and stores them as stacked,
-read-only arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``,
+JSON, given as ``MomentPair`` states or merged, is built from copies of
+its inputs by the checks of ``DiscreteMarket.from_arrays``, which check
+all states at once (:func:`smmport.moments._pair_stacks`), and is stored
+as stacked, read-only arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``,
 ``second_moment`` and their lower Cholesky factors (S, n, n), each
 factor from one batched factorization. At construction the market also
 solves, once and batched over states, the per-state quantities that
@@ -168,16 +168,22 @@ class DiscreteMarket:
         """Build a market from ``probs`` (S,), ``mu`` (S, n), ``mats``
         (S, n, n) and bools ``second_supplied`` (S,), where ``mats[s]`` is
         state s's second moment if ``second_supplied[s]``, else its
-        covariance. Every constructor ends here. The inputs are copied,
-        never locked or shared. State checks run before probability checks;
-        the first to fail raises. Warns for each asymmetric matrix, naming
-        its state, and solves every state once, batched."""
-        stacks, asymmetry = _state_stacks(probs, mu, mats, second_supplied)
+        covariance. The inputs are copied, never locked or shared. State
+        checks run before probability checks; the first to fail raises.
+        Warns for each asymmetric matrix, naming its state, and solves
+        every state once, batched."""
+        return cls._from_stacks(*_state_stacks(probs, mu, mats, second_supplied))
+
+    @classmethod
+    def _from_stacks(cls, stacks: dict, asymmetry: np.ndarray) -> "DiscreteMarket":
+        """The market of stacks that passed :func:`_state_stacks`: checks
+        the probabilities, warns, solves and locks. Every constructor ends
+        here."""
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
             warnings.warn(f"state {i}: {name} deviates from symmetry by "
-                          f"{asymmetry[i]:.3e}; symmetrizing", stacklevel=2)
+                          f"{asymmetry[i]:.3e}; symmetrizing", stacklevel=3)
         for direction, ratio, lower in (
             ("markowitz_directions", "conditional_sharpe_sq", stacks["chol_sigma"]),
             ("smm_directions", "conditional_q", stacks["chol_second"]),
@@ -234,19 +240,20 @@ class DiscreteMarket:
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMarket":
         """Parse ``{"states": [{"prob", "mu", "sigma"|"second_moment"}, ...]}``
-        and build the market with :meth:`from_arrays`. If that fails,
-        bisection finds the first bad state: each probe runs the state
-        checks of :meth:`from_arrays` on state 0 (so widths are checked
-        against state 0's) and the left half of the remaining range, and
-        the half that fails is kept, down to one state, whose error is
-        raised again as ``state i: ...``."""
+        and build the market as :meth:`from_arrays` does. If a state check
+        fails, bisection finds the first bad state: each probe runs the
+        state checks on state 0 (so widths are checked against state 0's)
+        and the left half of the remaining range, and the half that fails
+        is kept, down to one state, whose error is raised again as
+        ``state i: ...``. The probability checks run after the state
+        checks and raise at once."""
         if not isinstance(data, dict) or "states" not in data:
             raise DomainError('market JSON must be an object with a "states" list')
         raw = data["states"]
         if not isinstance(raw, list) or not raw:
             raise DomainError('"states" must be a nonempty list')
         try:
-            return cls.from_arrays(*_parse(raw))
+            checked = _state_stacks(*_parse(raw))
         except SmmError:
             lo, hi = 0, len(raw)
             while hi - lo > 1:
@@ -261,6 +268,7 @@ class DiscreteMarket:
             except SmmError as exc:
                 raise type(exc)(f"state {lo}: {exc}") from None
             raise
+        return cls._from_stacks(*checked)
 
 
 class Policy:
@@ -304,16 +312,16 @@ def _vector_rows(rows, name: str) -> np.ndarray:
     raise DomainError(f"{name}: needs at least one state")
 
 
-def _check_dims(market: DiscreteMarket, policy: Policy) -> None:
-    if policy.n_states != market.n_states:
+def _per_state_vectors(x, market: DiscreteMarket, name: str) -> np.ndarray:
+    """Read-only (S, n) array from a Policy or a sequence of per-state
+    vectors, one per state of ``market`` and as long as its asset count."""
+    v = x.weights if isinstance(x, Policy) else _vector_rows(x, name)
+    if v.shape != (market.n_states, market.n_assets):
         raise DimensionMismatch(
-            f"policy has {policy.n_states} states, market has {market.n_states}"
+            f"{name} is {v.shape[0]} states of {v.shape[1]} assets, market has "
+            f"{market.n_states} of {market.n_assets}"
         )
-    size = policy.weights.shape[1]
-    if size != market.n_assets:
-        raise DimensionMismatch(
-            f"state 0: policy has {size} assets, market has {market.n_assets}"
-        )
+    return v
 
 
 def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSummary:
@@ -324,8 +332,7 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     it is nonnegative by construction. A second moment that overflows
     raises :class:`DomainError`.
     """
-    _check_dims(market, policy)
-    w = policy.weights
+    w = _per_state_vectors(policy, market, "policy")
     y = np.einsum("sji,sj->si", market.chol_second, w)
     second = _fsum_states(market.probs * np.einsum("si,si->s", y, y))
     if not math.isfinite(second):

@@ -42,22 +42,17 @@ PIVOT_RTOL = 1e-10
 ASYMMETRY_WARN = 1e-8
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+def _as_array(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a new C-contiguous float64 array, never the caller's own,
+    with ``ndim`` axes (1: a vector, 2: a matrix), finite and nonempty;
+    else a :class:`DomainError` naming ``name``, non-finite entries first."""
+    a = np.array(x, dtype=np.float64, order="C")
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
-    return v
-
-
-def _as_square(x, n: int, name: str) -> np.ndarray:
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.shape != (n, n):
-        raise DomainError(f"{name} must be {n}x{n}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} has non-finite entries")
-    return m
+    if a.ndim != ndim or a.size == 0:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise DomainError(f"{name} must be a nonempty {ndim}-d {kind}")
+    return a
 
 
 def _asymmetry(mat: np.ndarray) -> np.ndarray:
@@ -391,13 +386,9 @@ class PerfSummary:
 
     @property
     def variance(self) -> float:
-        try:
-            return max(self.second_moment - self.mean**2, 0.0)
-        except OverflowError:
-            # mean**2 is past the float maximum, so above any finite second
-            # moment. mean * mean would not raise, but it can differ from
-            # mean**2 in the last bit, and tests/golden/ holds mean**2's
-            return 0.0
+        # mean * mean is correctly rounded (mean**2 is the C library's pow,
+        # which can be one ulp off); past the float maximum it is inf
+        return max(self.second_moment - self.mean * self.mean, 0.0)
 
     @property
     def risk(self) -> float:

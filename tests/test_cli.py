@@ -521,15 +521,17 @@ def test_exit_code_per_error_class(capsys, monkeypatch, error):
     assert out == "" and err == "error: boom\n"
 
 
+def _fmt_oracle(x: float) -> str:
+    """One float as the emitter first wrote it."""
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
 def _render_json_oracle(obj) -> str:
     """The emitter as first written, type by type: the oracle for render_json."""
-
-    def fmt(x: float) -> str:
-        if x != x:
-            return "NaN"
-        if x in (float("inf"), float("-inf")):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
 
     def emit(o) -> str:
         if isinstance(o, dict):
@@ -542,7 +544,7 @@ def _render_json_oracle(obj) -> str:
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, (float, np.floating)):
-            return fmt(float(o))
+            return _fmt_oracle(float(o))
         if o is None:
             return "null"
         return json.dumps(str(o))
@@ -607,7 +609,7 @@ def test_float_rows_match_oracle():
     def check(table):
         assert render_json(table) == _render_json_oracle(table)
         float_rows = [r for r in table if set(map(type, r)) == {float}]
-        expected = ["a"] + [",".join(map(smmport.cli._fmt, r)) for r in float_rows]
+        expected = ["a"] + [",".join(map(_fmt_oracle, r)) for r in float_rows]
         assert smmport.cli._csv_text(["a"], float_rows) == "\n".join(expected) + "\n"
 
     check()

@@ -75,8 +75,10 @@ def test_sample_validation():
         LeverageSample.from_observations([1.0], [0.1])
     with pytest.raises(DomainError):
         LeverageSample.from_observations([1.0, -0.5], [0.1, 0.1])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^leverage has non-finite entries$"):
         LeverageSample.from_observations([1.0, np.inf], [0.1, 0.1])
+    with pytest.raises(DomainError, match="^returns has non-finite entries$"):
+        LeverageSample.from_observations([1.0, 2.0], [np.nan, 0.1])
     with pytest.raises(ShapeMismatch):
         LeverageSample.from_observations([1.0, 2.0], [0.1])
     sample = LeverageSample.from_observations([2.0, 4.0], [0.5, 2.0])

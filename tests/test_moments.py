@@ -268,8 +268,18 @@ def test_perf_summary_zero_risk():
 
 
 def test_perf_summary_variance_of_huge_mean():
-    # mean**2 passes the float maximum, so it exceeds the second moment
+    # mean * mean passes the float maximum, so it exceeds the second moment
     assert PerfSummary(mean=1e200, second_moment=1e300).variance == 0.0
+    assert PerfSummary(mean=1.4e154, second_moment=1e308).variance == 0.0
+
+
+def test_perf_summary_variance_is_correctly_rounded():
+    # the moments of the mean-variance golden summary; the C library's
+    # pow(mean, 2) can be one ulp off the correctly rounded square
+    mean, second = 1.3750000000000004, 2.5781250000000013
+    square = float(Fraction(mean) ** 2)
+    summary = PerfSummary(mean=mean, second_moment=second)
+    assert summary.variance == second - square == 0.6875
 
 
 def test_perf_summary_rfr():

@@ -339,6 +339,17 @@ def test_bad_last_state_of_a_large_market_is_found_by_bisection(monkeypatch):
     assert len(calls) <= math.ceil(math.log2(n_states)) + 2
 
 
+def test_probability_error_is_raised_without_bisection(monkeypatch):
+    # every state passes its checks; only the sum of probabilities fails
+    n_states = 1000
+    states = [{"prob": 1.00005 / n_states, "mu": [0.1, 0.2],
+               "sigma": [[1.0, 0.0], [0.0, 1.0]]} for _ in range(n_states)]
+    calls = _counting_parse(monkeypatch)
+    with pytest.raises(DomainError, match="^state probabilities sum to 1.0000[0-9]*, not 1$"):
+        DiscreteMarket.from_dict({"states": states})
+    assert calls == [n_states]
+
+
 def test_run_of_narrow_states_names_the_first():
     # states 4.. agree with each other but not with state 0; each probe
     # includes state 0, so a range of them alone still fails
