@@ -51,6 +51,7 @@ from .moments import (
     MomentPair,
     Objective,
     PerfSummary,
+    _as_array,
     _chol_solve,
     _lock,
     conditional_q,
@@ -240,23 +241,19 @@ def flatten_pseudo_assets(returns, features) -> np.ndarray:
     Row t of the result is r_t (x) f_t; with n assets and k features,
     column (i - 1) * k + j (1-based) is asset i times feature j. Lets
     linear-in-features policies be optimized as a classical problem on
-    the widened asset universe.
+    the widened asset universe. Each input must be a nonempty, finite 2-d
+    matrix (else :class:`DomainError` naming it) and the row counts equal
+    (else :class:`ShapeMismatch`); an overflowing product is a DomainError.
     """
-    r = np.ascontiguousarray(returns, dtype=np.float64)
-    f = np.ascontiguousarray(features, dtype=np.float64)
-    if r.ndim != 2 or f.ndim != 2:
-        raise ShapeMismatch("returns and features must be 2-d sample matrices")
+    r = _as_array(returns, "returns", 2)
+    f = _as_array(features, "features", 2)
     if r.shape[0] != f.shape[0]:
-        raise ShapeMismatch(
-            f"row counts differ: returns {r.shape[0]}, features {f.shape[0]}"
-        )
-    if r.shape[0] < 1:
-        raise ShapeMismatch("need at least one sample row")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(f))):
-        raise DomainError("returns and features must be finite")
-    t_count, n = r.shape
-    k = f.shape[1]
-    return np.einsum("ti,tj->tij", r, f).reshape(t_count, n * k)
+        raise ShapeMismatch(f"row counts differ: returns {r.shape[0]}, features {f.shape[0]}")
+    with np.errstate(over="ignore"):
+        flat = np.einsum("ti,tj->tij", r, f).reshape(r.shape[0], -1)
+    if not np.isfinite(flat).all():
+        raise DomainError("returns times features overflows")
+    return flat
 
 
 def constraints_from_dict(data: dict, market: DiscreteMarket) -> list[HedgeConstraint]:
@@ -267,6 +264,8 @@ def constraints_from_dict(data: dict, market: DiscreteMarket) -> list[HedgeConst
     """
     if not isinstance(data, dict) or "constraints" not in data:
         raise DomainError('constraint JSON must be an object with a "constraints" list')
+    if not isinstance(data["constraints"], list):
+        raise DomainError('"constraints" must be a list')
     out = []
     for i, entry in enumerate(data["constraints"]):
         if not isinstance(entry, dict) or "kind" not in entry:

@@ -30,8 +30,8 @@ _CHUNK_ELEMS = 1 << 16
 
 
 def silverman_bandwidth(xs: np.ndarray) -> float:
-    """Rule-of-thumb bandwidth 1.06 * std(x) * T**(-1/5)."""
-    xs = np.asarray(xs, dtype=np.float64)
+    """Rule-of-thumb bandwidth 1.06 * std(x) * T**(-1/5) of a finite vector."""
+    xs = _as_array(xs, "xs", 1)
     # np.std squares deviations, which overflow past ~1e154. Scaling by
     # 2**-k with |x| < 2**k keeps them small; a power of two is exact,
     # so the result has the same bits as an unscaled std.

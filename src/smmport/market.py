@@ -45,6 +45,7 @@ from .moments import (
     SharpeBudget,
     _back_solve,
     _finite_scale,
+    _floats,
     _lock,
     _pair_stacks,
     _tri_solve,
@@ -71,14 +72,6 @@ def _fsum_states(terms: np.ndarray):
         return math.fsum(terms.tolist())
     columns = terms.reshape(terms.shape[0], -1).T.tolist()
     return np.array([math.fsum(c) for c in columns]).reshape(terms.shape[1:])
-
-
-def _float_rows(rows) -> np.ndarray | None:
-    """``rows`` as a new float64 array, or None if ragged or not numeric."""
-    try:
-        return np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
 
 
 def _check_probs(probs: np.ndarray) -> None:
@@ -116,7 +109,7 @@ def _state_stacks(probs, mu, mats, second_supplied) -> tuple[dict, np.ndarray]:
     inputs: shapes, then :func:`moments._pair_stacks`. Returns the stacks,
     ``probs`` among them, and each state's asymmetry; the first failing
     check raises, naming no state."""
-    probs, mu, mats = map(_float_rows, (probs, mu, mats))
+    probs, mu, mats = map(_floats, (probs, mu, mats))
     given = np.array(second_supplied)
     if (probs is None or probs.ndim != 1 or not probs.size
             or given.shape != probs.shape or given.dtype != bool):
@@ -296,16 +289,19 @@ class Policy:
 def _vector_rows(rows, name: str) -> np.ndarray:
     """``rows``, one vector per state, as a new read-only (S, n) array.
 
-    A ragged or non-finite input raises an error naming ``name`` and its
-    first bad state.
+    A non-sequence, or a ragged, non-numeric or non-finite state, raises an
+    error naming ``name`` and the first bad state; a generator is read once.
     """
-    rows = rows if isinstance(rows, np.ndarray) else list(rows)
-    w = _float_rows(rows)
+    try:
+        rows = rows if isinstance(rows, np.ndarray) and rows.ndim else list(rows)
+    except TypeError:
+        raise DomainError(f"{name}: needs one vector per state") from None
+    w = _floats(rows)
     if w is not None and w.ndim == 2 and w.shape[0] and np.isfinite(w).all():
         return _lock(w)
     for i, r in enumerate(rows):
-        v = np.asarray(r, dtype=np.float64)
-        if v.ndim != 1 or v.shape != np.shape(rows[0]):
+        v = _floats(r)
+        if v is None or v.ndim != 1 or v.shape != np.shape(rows[0]):
             raise DimensionMismatch(f"{name}: state {i}: not a vector as long as state 0's")
         if not np.isfinite(v).all():
             raise DomainError(f"{name}: state {i}: non-finite entries")

@@ -12,6 +12,9 @@ ratio mu' inv(A) mu of the locally optimal allocation, and the
 ``Objective`` variants carry the scalars that turn a unit direction into
 a fully scaled policy.
 
+Every outside value is read as float64 by one converter, ``_floats``,
+which gives None for what numpy cannot read; ``_as_array`` adds the
+finite, axis and emptiness checks, naming the argument that fails.
 Every moment pair is validated by one batched check, ``_pair_stacks``:
 finite inputs, symmetrization, and a Cholesky factorization of both
 Sigma and A whose smallest pivot must pass ``PIVOT_RTOL``. A
@@ -42,14 +45,23 @@ PIVOT_RTOL = 1e-10
 ASYMMETRY_WARN = 1e-8
 
 
+def _floats(x) -> np.ndarray | None:
+    """``x`` as a new C-contiguous float64 array, never the caller's own, or
+    None (never an error) if it is ragged, not numeric or past the double range."""
+    try:
+        return np.array(x, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _as_array(x, name: str, ndim: int) -> np.ndarray:
-    """``x`` as a new C-contiguous float64 array, never the caller's own,
-    with ``ndim`` axes (1: a vector, 2: a matrix), finite and nonempty;
-    else a :class:`DomainError` naming ``name``, non-finite entries first."""
-    a = np.array(x, dtype=np.float64, order="C")
-    if not np.isfinite(a).all():
+    """:func:`_floats` of ``x`` with ``ndim`` axes (1: a vector, 2: a
+    matrix), finite and nonempty; else a :class:`DomainError` naming
+    ``name``, non-finite entries first."""
+    a = _floats(x)
+    if a is not None and not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
-    if a.ndim != ndim or a.size == 0:
+    if a is None or a.ndim != ndim or a.size == 0:
         kind = "vector" if ndim == 1 else "matrix"
         raise DomainError(f"{name} must be a nonempty {ndim}-d {kind}")
     return a
@@ -190,13 +202,11 @@ class MomentPair:
         if (sigma is None) == (second_moment is None):
             raise DomainError("supply exactly one of sigma or second_moment")
         supplied = "sigma" if second_moment is None else "second_moment"
-        mu = np.array(mu, dtype=np.float64)
-        if mu.ndim != 1 or mu.size == 0:
-            raise DomainError("mu must be a nonempty 1-d vector")
-        mat = np.asarray(sigma if second_moment is None else second_moment,
-                         dtype=np.float64)
-        if mat.shape != (mu.size, mu.size):
-            raise DomainError(f"{supplied} must be {mu.size}x{mu.size}, got {mat.shape}")
+        mu = _as_array(mu, "mu", 1)
+        mat = _floats(sigma if second_moment is None else second_moment)
+        if mat is None or mat.shape != (mu.size, mu.size):
+            got = "a value not readable as floats" if mat is None else mat.shape
+            raise DomainError(f"{supplied} must be {mu.size}x{mu.size}, got {got}")
         stacks, asymmetry = _pair_stacks(
             mu[None], mat[None], np.array([supplied == "second_moment"])
         )

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -613,3 +614,101 @@ def test_float_rows_match_oracle():
         assert smmport.cli._csv_text(["a"], float_rows) == "\n".join(expected) + "\n"
 
     check()
+
+
+# One malformed value in one field of a sample input: each must give exit
+# 2, no stdout and a single "error:" line naming the field, never a
+# traceback (main runs in process, so an uncaught error fails the test).
+BIG_INT = int("1" + "0" * 400)
+BAD_VALUES = {
+    "mapping": {"a": 1},
+    "null": None,
+    "string": "x",
+    "big-int": BIG_INT,
+    "ragged": [[1.0], [1.0, 2.0]],
+    "number": 5,
+}
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "sample_inputs")
+
+
+def _market_with(field, value):
+    with open(os.path.join(SAMPLES, "two_state_market.json")) as fh:
+        doc = json.load(fh)
+    state = doc["states"][0]
+    if field == "second_moment":
+        del state["sigma"]
+    state[field] = value
+    return doc
+
+
+def _model_with(field, value):
+    with open(os.path.join(SAMPLES, "lcem_model.json")) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    return doc
+
+
+FIELDS = {
+    "market prob": lambda v: ("market", _market_with("prob", v)),
+    "market mu": lambda v: ("market", _market_with("mu", v)),
+    "market sigma": lambda v: ("market", _market_with("sigma", v)),
+    "market second_moment": lambda v: ("market", _market_with("second_moment", v)),
+    "constraint g": lambda v: ("constraints", {"constraints": [{"kind": "raw", "g": v}]}),
+    "constraint target": lambda v: (
+        "constraints", {"constraints": [{"kind": "zero_covariance", "target": v}]}),
+    "model B": lambda v: ("model", _model_with("B", v)),
+    "model sigma": lambda v: ("model", _model_with("sigma", v)),
+    "model feature_mean": lambda v: ("model", _model_with("feature_mean", v)),
+    "model feature_cov": lambda v: ("model", _model_with("feature_cov", v)),
+}
+
+
+def _expect_one_error_line(rc, out, err, name):
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    # the field, or its plural as an array argument (prob -> probs)
+    assert re.search(rf"\b{name}s?\b", lines[0]), lines[0]
+
+
+# a bare number is a valid probability, so that one pair is left out
+BAD_FIELDS = [
+    pytest.param(field, value, id=f"{field}-{label}")
+    for field in FIELDS for label, value in BAD_VALUES.items()
+    if (field, label) != ("market prob", "number")
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELDS)
+def test_unreadable_field_is_a_named_error(capsys, tmp_path, field, value):
+    kind, doc = FIELDS[field](value)
+    path = write_json(tmp_path / "input.json", doc)
+    market = os.path.join(SAMPLES, "two_state_market.json")
+    argv = {
+        "market": ["solve-discrete", "--market", path],
+        "constraints": ["solve-discrete", "--market", market, "--constraints", path],
+        "model": ["simulate-lcem", "--model", path, "--n", "1000"],
+    }[kind]
+    _expect_one_error_line(*run_cli(capsys, *argv), field.split()[1])
+
+
+@pytest.mark.parametrize("constraints", [5, None], ids=["number", "null"])
+def test_constraints_must_be_a_list(capsys, tmp_path, two_state_market_path, constraints):
+    path = write_json(tmp_path / "c.json", {"constraints": constraints})
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path,
+                           "--constraints", path)
+    assert (rc, out, err) == (2, "", 'error: "constraints" must be a list\n')
+
+
+def test_flatten_overflowing_product_writes_nothing(capsys, tmp_path):
+    returns = tmp_path / "r.csv"
+    returns.write_text("r1\n1e200\n")
+    features = tmp_path / "f.csv"
+    features.write_text("f1\n1e200\n")
+    out_path = tmp_path / "flat.csv"
+    rc, out, err = run_cli(
+        capsys, "flatten", "--returns", str(returns),
+        "--features", str(features), "--out", str(out_path),
+    )
+    assert (rc, out, err) == (2, "", "error: returns times features overflows\n")
+    assert not out_path.exists()

@@ -324,8 +324,13 @@ def test_flatten_shapes_and_values():
     np.testing.assert_array_equal(row, [[3.0, 4.0, 6.0, 8.0]])
     with pytest.raises(ShapeMismatch):
         flatten_pseudo_assets(np.ones((3, 2)), np.ones((4, 2)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DomainError, match="^returns must be a nonempty 2-d matrix$"):
         flatten_pseudo_assets(np.ones(3), np.ones(3))
+
+
+def test_flatten_rejects_an_overflowing_product():
+    with pytest.raises(DomainError, match="^returns times features overflows$"):
+        flatten_pseudo_assets([[1e200], [1.0]], [[1e200], [1.0]])
 
 
 def test_flatten_matches_basis_optimizer_on_empirical_market():

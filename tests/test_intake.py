@@ -21,7 +21,9 @@ from smmport import (
     kernel_regress,
     lcem_conditional_weights,
     leverage_curve,
+    silverman_bandwidth,
 )
+from smmport.moments import _floats
 from conftest import random_spd
 
 
@@ -153,3 +155,48 @@ def test_lcem_model_checks_feature_shapes():
 def test_evaluate_rejects_wrong_policy_shape(two_state_market, weights):
     with pytest.raises(DimensionMismatch, match="^policy is "):
         evaluate(two_state_market, Policy(weights))
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": 1}, "x", int("1" + "0" * 400), [int("1" + "0" * 400), 1.0],
+    [[1.0], [1.0, 2.0]], [[{"a": 1}]], object(),
+], ids=["mapping", "string", "big-int", "big-int-entry", "ragged", "nested-mapping",
+        "object"])
+def test_floats_gives_none_for_what_numpy_cannot_read(bad):
+    assert _floats(bad) is None
+
+
+@pytest.mark.parametrize("x", [np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2).T,
+                               np.arange(4, dtype=np.int64), [[1, 2], [3, 4]], 5.0],
+                         ids=["c-order", "f-order", "int", "list", "scalar"])
+def test_floats_is_a_new_c_contiguous_float64_array(x):
+    a = _floats(x)
+    assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+    np.testing.assert_array_equal(a, np.array(x, dtype=np.float64))
+    assert not (isinstance(x, np.ndarray) and np.shares_memory(a, x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_silverman_bandwidth_rejects_non_finite(bad):
+    with pytest.raises(DomainError, match="^xs has non-finite entries$"):
+        silverman_bandwidth([1.0, bad, 2.0])
+
+
+def test_moment_pair_rejects_a_mapping():
+    with pytest.raises(DomainError, match="^mu must be a nonempty 1-d vector$"):
+        MomentPair({"a": 1}, sigma=[[1.0]])
+    with pytest.raises(DomainError, match="^sigma must be 1x1, got a value not readable"):
+        MomentPair([0.1], sigma={"a": 1})
+
+
+@pytest.mark.parametrize("bad", [5, None, np.array(5.0)], ids=["number", "null", "0-d"])
+def test_policy_rejects_a_non_sequence(bad):
+    with pytest.raises(DomainError, match="^weights: needs one vector per state$"):
+        Policy(bad)
+
+
+def test_policy_reads_a_generator_once():
+    # rows are listed before the bulk conversion, so a valid generator
+    # takes the fast path instead of being consumed and found empty
+    policy = Policy(np.full(2, float(i)) for i in range(3))
+    np.testing.assert_array_equal(policy.weights, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
