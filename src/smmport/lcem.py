@@ -17,8 +17,11 @@ With Sigma = L L' and the feature law f = m + F z, z standard normal,
     s = ||C z + d||^2,    C = inv(L) B F,    d = inv(L) B m.
 
 ``LcemModel`` computes C and d once, at construction, so a block of
-samples costs one normal draw, one matrix product and a row-wise sum of
-squares: features are never formed and nothing is solved per sample.
+count samples costs one normal draw into a reused buffer, one
+(n x k)(k x count) product giving the signal with one asset per row,
+and the squares of those n rows summed: features are never formed and
+nothing is solved per sample. Each worker thread owns one set of
+buffers, allocated at its first block and reused by the rest of its run.
 
 Sampling contract
 -----------------
@@ -213,11 +216,12 @@ def block_bounds(n_samples: int) -> list[tuple[int, int]]:
     ]
 
 
-def _normal_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
-    """Standard normal draws z behind block ``block_index``, one row per
-    sample: the sampling contract of the module docstring."""
+def _normal_block(seed: int, block_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, C-contiguous with one row per sample, with the standard
+    normal draws z behind block ``block_index``: the sampling contract of
+    the module docstring. Returns ``out``."""
     bitgen = np.random.Philox(key=seed, counter=block_index << 128)
-    return np.random.Generator(bitgen).standard_normal((count, model.n_features))
+    return np.random.Generator(bitgen).standard_normal(out=out)
 
 
 def feature_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
@@ -226,8 +230,25 @@ def feature_block(model: LcemModel, seed: int, block_index: int, count: int) -> 
     Deterministic given (seed, block_index, count); independent of any
     other block.
     """
-    z = _normal_block(model, seed, block_index, count)
+    z = _normal_block(seed, block_index, np.empty((count, model.n_features)))
     return model.feature_mean + z @ model.feature_factor.T
+
+
+def _signal_norms(model: LcemModel, seed: int, block_index: int,
+                  z: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Fill ``s`` with ||C z + d||^2 for the draws z of block
+    ``block_index``, forming the signal C z + d in ``y`` one asset per row
+    (n x count), so every step runs along contiguous samples. A huge
+    signal overflows to inf or nan here, silently; callers check ``s``."""
+    _normal_block(seed, block_index, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(model.signal_factor, z.T, out=y)
+        y += model.signal_offset[:, None]
+        np.multiply(y[0], y[0], out=s)
+        for row in y[1:]:
+            row *= row
+            s += row
+    return s
 
 
 def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
@@ -235,28 +256,55 @@ def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.nda
 
     Computed as ||C z + d||^2 from the same draws as :func:`feature_block`.
     """
-    y = _normal_block(model, seed, block_index, count) @ model.signal_factor.T
-    y += model.signal_offset
-    return np.einsum("ij,ij->i", y, y)
+    return _signal_norms(model, seed, block_index, np.empty((count, model.n_features)),
+                         np.empty((model.n_assets, count)), np.empty(count))
 
 
-def _block_sums(model: LcemModel, seed: int, block_index: int, count: int):
-    s = s_block(model, seed, block_index, count)
+def _scratch_views(scratch: dict, model: LcemModel, count: int):
+    """Views for ``count`` samples into one worker's buffers: the draws z
+    (count x k), the signal y (n x count) and three rows s, a, t. The
+    buffers are allocated on first use, sized by that block, and reused
+    by every later block of the run, which is never longer (only the
+    last block is short)."""
+    n, k = model.B.shape
+    if scratch.get("size", 0) < count:
+        scratch.update(size=count, z=np.empty(count * k), y=np.empty(n * count),
+                       rows=np.empty((3, count)))
+    return (scratch["z"][:count * k].reshape(count, k),
+            scratch["y"][:n * count].reshape(n, count),
+            *scratch["rows"][:, :count])
+
+
+def _block_sums(model: LcemModel, seed: int, block_index: int, count: int,
+                scratch: dict):
+    """The ten statistic sums of block ``block_index``, formed in place in
+    ``scratch``, a dict owned by one worker's run (see
+    :func:`_scratch_views`)."""
+    z, y, s, a, t = _scratch_views(scratch, model, count)
+    _signal_norms(model, seed, block_index, z, y, s)
     if not np.isfinite(s).all():
         raise DegenerateMarket(f"signal s overflows in block {block_index}")
-    a = s / (1.0 + s)
+    np.divide(s, np.add(s, 1.0, out=a), out=a)
     # Sums accumulated per block, with a = s / (1 + s):
     #   a1..a4  powers of a        s1..s4  powers of s
     #   as1 = sum a*s, as2 = sum a*s**2
-    # Powers of a huge s may overflow; compare_policies rejects those sums.
+    # Each product lands in t, or in y[0] for s**2 (y is spent once s is
+    # formed), and is multiplied in the order a*a*a*a, s2*s, s2*s2 that
+    # fixes its bits. Powers of a huge s may overflow; compare_policies
+    # rejects those sums.
+    s2 = y[0]
     with np.errstate(over="ignore"):
-        s2 = s * s
+        np.multiply(s, s, out=s2)
+        a2 = float(np.multiply(a, a, out=t).sum())
+        a3 = float(np.multiply(t, a, out=t).sum())
+        a4 = float(np.multiply(t, a, out=t).sum())
         return (
-            float(a.sum()), float((a * a).sum()),
-            float((a * a * a).sum()), float((a * a * a * a).sum()),
+            float(a.sum()), a2, a3, a4,
             float(s.sum()), float(s2.sum()),
-            float((s2 * s).sum()), float((s2 * s2).sum()),
-            float((a * s).sum()), float((a * s2).sum()),
+            float(np.multiply(s2, s, out=t).sum()),
+            float(np.multiply(s2, s2, out=t).sum()),
+            float(np.multiply(a, s, out=t).sum()),
+            float(np.multiply(a, s2, out=t).sum()),
         )
 
 
@@ -283,7 +331,8 @@ def _collect_sums(model: LcemModel, cfg: McConfig):
 
     def run(s: int) -> list:
         blocks = range(s * n_blocks // workers, (s + 1) * n_blocks // workers)
-        return [_block_sums(model, cfg.seed, b, bounds[b][1] - bounds[b][0])
+        scratch = {}
+        return [_block_sums(model, cfg.seed, b, bounds[b][1] - bounds[b][0], scratch)
                 for b in blocks]
 
     if workers == 1:

@@ -86,6 +86,15 @@ def _check_probs(probs: np.ndarray) -> None:
         raise DomainError(f"state probabilities sum to {total!r}, not 1")
 
 
+def _probability(i: int, p) -> float:
+    """State ``i``'s probability ``p`` as a float, or a :class:`DomainError`
+    naming the state if ``p`` is not a number."""
+    try:
+        return float(p)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"state {i}: probability must be a number") from None
+
+
 def _parse(raw: list) -> tuple[list, list, list, np.ndarray]:
     """Probabilities, mean rows, matrix rows and ``second_supplied`` of raw
     JSON states. Raises the error of the first failing check, naming no state."""
@@ -140,7 +149,7 @@ class DiscreteMarket:
     __slots__ = _STACKS + ("_states",)
 
     def __init__(self, states: Iterable[tuple[float, MomentPair]]):
-        states = tuple((float(p), m) for p, m in states)
+        states = tuple((_probability(i, p), m) for i, (p, m) in enumerate(states))
         if not states:
             raise DomainError("market needs at least one state")
         pairs = [m for _, m in states]

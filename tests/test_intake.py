@@ -182,6 +182,21 @@ def test_silverman_bandwidth_rejects_non_finite(bad):
         silverman_bandwidth([1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("xs", [[1.0], [-3.5]])
+def test_silverman_bandwidth_needs_two_samples(xs):
+    # np.std of one sample is nan after two RuntimeWarnings
+    with pytest.raises(DomainError, match="^need at least two samples$"):
+        silverman_bandwidth(xs)
+
+
+@pytest.mark.parametrize("prob", [None, "half", [0.5], {"p": 0.5}, 10**400],
+                         ids=["none", "text", "list", "mapping", "huge-int"])
+def test_market_names_the_state_of_a_non_numeric_probability(prob):
+    pair = MomentPair.from_covariance([0.1], [[1.0]])
+    with pytest.raises(DomainError, match="^state 1: probability must be a number$"):
+        DiscreteMarket([(0.5, pair), (prob, pair)])
+
+
 def test_moment_pair_rejects_a_mapping():
     with pytest.raises(DomainError, match="^mu must be a nonempty 1-d vector$"):
         MomentPair({"a": 1}, sigma=[[1.0]])

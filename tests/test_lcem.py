@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -18,7 +19,7 @@ from smmport import (
 )
 from smmport import lcem
 from smmport.lcem import BLOCK_SIZE, block_bounds, feature_block, s_block
-from conftest import random_spd
+from conftest import SAMPLE_DIR, random_spd
 
 
 def small_model(seed=0, n=2, k=3, signal=0.5):
@@ -115,7 +116,7 @@ def test_threads_capped_at_cpu_count(monkeypatch, cpus):
 
     monkeypatch.setattr(lcem, "ThreadPoolExecutor", RecordingExecutor)
 
-    def block_sums(model, seed, block_index, count):
+    def block_sums(model, seed, block_index, count, scratch):
         seen.append(block_index)
         return (float(count),) * 10
 
@@ -257,6 +258,65 @@ def test_s_values_match_direct_formula():
         )
 
 
+def plain_block_sums(model, seed, block_index, count):
+    """Oracle: the ten sums of one block by the plain formula, with fresh
+    arrays, samples along rows and einsum for the squared norms."""
+    bitgen = np.random.Philox(key=seed, counter=block_index << 128)
+    z = np.random.Generator(bitgen).standard_normal((count, model.n_features))
+    y = z @ model.signal_factor.T + model.signal_offset
+    s = np.einsum("ij,ij->i", y, y)
+    a = s / (1.0 + s)
+    s2 = s * s
+    return tuple(float(x.sum()) for x in (
+        a, a * a, a * a * a, a * a * a * a, s, s2, s2 * s, s2 * s2, a * s, a * s2))
+
+
+def sample_model():
+    with open(SAMPLE_DIR / "lcem_model.json") as fh:
+        return LcemModel.from_dict(json.load(fh))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 17, BLOCK_SIZE, 2 * BLOCK_SIZE + 17, 150_000])
+def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
+    # one scratch through every block, as in a worker's run: a short last
+    # block reuses buffers sized for a full one
+    model, scratch = sample_model(), {}
+    partials = []
+    for b, (start, stop) in enumerate(block_bounds(n)):
+        got = lcem._block_sums(model, seed, b, stop - start, scratch)
+        assert got == plain_block_sums(model, seed, b, stop - start)
+        partials.append(got)
+    assert lcem._collect_sums(model, McConfig(n_samples=n, seed=seed)) == tuple(
+        math.fsum(c) for c in zip(*partials))
+
+
+@pytest.mark.parametrize("n_assets", [3, 5])
+def test_block_sums_match_the_plain_formula_on_random_models(n_assets):
+    """With three or more assets the squared norm is summed over assets in
+    another order than einsum's, so the sums agree to rtol 1e-14 rather
+    than bit for bit."""
+    rng = np.random.default_rng(n_assets)
+    for k in (1, 2, 4):
+        model = small_model(seed=int(rng.integers(1000)), n=n_assets, k=k)
+        scratch = {}
+        for b, count in enumerate((BLOCK_SIZE, 17)):
+            np.testing.assert_allclose(
+                lcem._block_sums(model, 3, b, count, scratch),
+                plain_block_sums(model, 3, b, count), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_compare_policies_bitwise_equal_across_workers(monkeypatch, workers):
+    # more cores than the host may have, so that each worker count runs
+    monkeypatch.setattr(lcem.os, "cpu_count", lambda: workers)
+    model = sample_model()
+    cfg = McConfig(n_samples=3 * BLOCK_SIZE + 17, seed=5)
+    threaded = McConfig(n_samples=cfg.n_samples, seed=5, n_streams=workers)
+    assert (compare_policies(model, threaded, 1.0).to_dict()
+            == compare_policies(model, cfg, 1.0).to_dict())
+
+
 def test_compare_policies_zero_signal():
     model = LcemModel(B=np.zeros((2, 2)), sigma=np.eye(2),
                       feature_mean=np.zeros(2), feature_cov=np.eye(2))
@@ -316,9 +376,14 @@ STRONG_SIGNALS = {
     # s is finite, but s**4 and s**3 are not
     "powers overflow": {"B": [[1e50]], "sigma": [[1.0]], "feature_mean": [0.0],
                         "feature_cov": [[1.0]]},
+    # the signal C z + d itself overflows in the matrix product
+    "signal overflows": {"B": [[1e308]], "sigma": [[1.0]], "feature_mean": [1.0],
+                         "feature_cov": [[1.0]]},
 }
 
 
+# an overflow inside the block kernel must not surface as a RuntimeWarning
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [1000, 2 * BLOCK_SIZE])
 @pytest.mark.parametrize("name", list(STRONG_SIGNALS))
 def test_signal_too_strong_is_degenerate(name, n):
@@ -331,7 +396,7 @@ def test_non_finite_power_sums_are_degenerate(monkeypatch):
     # s**4 overflowing while q stays below 1 needs s to span some sixty
     # orders of magnitude within one sample; stubbed sums stand in for it
     sums = (500.0, 300.0, 200.0, 100.0, 1e300, 1e300, math.inf, math.inf, 1.0, 1.0)
-    monkeypatch.setattr(lcem, "_block_sums", lambda model, seed, b, count: sums)
+    monkeypatch.setattr(lcem, "_block_sums", lambda model, seed, b, count, scratch: sums)
     with pytest.raises(DegenerateMarket, match="^signal too strong"):
         compare_policies(None, McConfig(n_samples=1000), 1.0)
 
