@@ -9,122 +9,81 @@ types and identities, discrete-market solvers, hedging constraints with
 their Pythagorean squared-Hansen decomposition, basis-portfolio and
 pseudo-asset optimization, a Monte Carlo study of the linear conditional
 expectation model, and a nonparametric leverage audit.
+
+Each public name is imported from its submodule on first use, so
+``import smmport`` loads no submodule and a CLI call loads only the
+modules it runs.
 """
 
-from .errors import (
-    DegenerateMarket,
-    DimensionMismatch,
-    DomainError,
-    InvalidSubset,
-    NotPositiveDefinite,
-    ShapeMismatch,
-    SingularBasis,
-    SingularConstraintSystem,
-    SmmError,
-)
-from .hedging import (
-    HedgeConstraint,
-    HedgeSolution,
-    constraints_from_dict,
-    flatten_pseudo_assets,
-    hedging_example_c1,
-    inner_product,
-    optimize_basis,
-    solve_hedge,
-)
-from .lcem import (
-    LcemComparison,
-    LcemModel,
-    McConfig,
-    McEstimate,
-    compare_policies,
-    estimate_q,
-    lcem_conditional_weights,
-)
-from .leverage import (
-    LeverageCurve,
-    LeverageSample,
-    kernel_regress,
-    leverage_curve,
-    silverman_bandwidth,
-)
-from .market import (
-    DiscreteMarket,
-    Policy,
-    evaluate,
-    markowitz_policy,
-    merge_states,
-    q_of,
-    smm_policy,
-)
-from .moments import (
-    Kelly,
-    MeanVariance,
-    MomentPair,
-    Objective,
-    PerfSummary,
-    SharpeBudget,
-    conditional_q,
-    conditional_sharpe_sq,
-    itas,
-    markowitz_direction,
-    optimal_objective_value,
-    scaling_constant,
-    smm_direction,
-    tas,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateMarket",
-    "DimensionMismatch",
-    "DiscreteMarket",
-    "DomainError",
-    "HedgeConstraint",
-    "HedgeSolution",
-    "InvalidSubset",
-    "Kelly",
-    "LcemComparison",
-    "LcemModel",
-    "LeverageCurve",
-    "LeverageSample",
-    "McConfig",
-    "McEstimate",
-    "MeanVariance",
-    "MomentPair",
-    "NotPositiveDefinite",
-    "Objective",
-    "PerfSummary",
-    "Policy",
-    "ShapeMismatch",
-    "SharpeBudget",
-    "SingularBasis",
-    "SingularConstraintSystem",
-    "SmmError",
-    "compare_policies",
-    "conditional_q",
-    "conditional_sharpe_sq",
-    "constraints_from_dict",
-    "estimate_q",
-    "evaluate",
-    "flatten_pseudo_assets",
-    "hedging_example_c1",
-    "inner_product",
-    "itas",
-    "kernel_regress",
-    "lcem_conditional_weights",
-    "leverage_curve",
-    "markowitz_direction",
-    "markowitz_policy",
-    "merge_states",
-    "optimal_objective_value",
-    "optimize_basis",
-    "q_of",
-    "scaling_constant",
-    "silverman_bandwidth",
-    "smm_direction",
-    "smm_policy",
-    "solve_hedge",
-    "tas",
-]
+# Each public name and the submodule that defines it, in export order.
+_SUBMODULE = {
+    "DegenerateMarket": "errors",
+    "DimensionMismatch": "errors",
+    "DiscreteMarket": "market",
+    "DomainError": "errors",
+    "HedgeConstraint": "hedging",
+    "HedgeSolution": "hedging",
+    "InvalidSubset": "errors",
+    "Kelly": "moments",
+    "LcemComparison": "lcem",
+    "LcemModel": "lcem",
+    "LeverageCurve": "leverage",
+    "LeverageSample": "leverage",
+    "McConfig": "lcem",
+    "McEstimate": "lcem",
+    "MeanVariance": "moments",
+    "MomentPair": "moments",
+    "NotPositiveDefinite": "errors",
+    "Objective": "moments",
+    "PerfSummary": "moments",
+    "Policy": "market",
+    "ShapeMismatch": "errors",
+    "SharpeBudget": "moments",
+    "SingularBasis": "errors",
+    "SingularConstraintSystem": "errors",
+    "SmmError": "errors",
+    "compare_policies": "lcem",
+    "conditional_q": "moments",
+    "conditional_sharpe_sq": "moments",
+    "constraints_from_dict": "hedging",
+    "estimate_q": "lcem",
+    "evaluate": "market",
+    "flatten_pseudo_assets": "hedging",
+    "hedging_example_c1": "hedging",
+    "inner_product": "hedging",
+    "itas": "moments",
+    "kernel_regress": "leverage",
+    "lcem_conditional_weights": "lcem",
+    "leverage_curve": "leverage",
+    "markowitz_direction": "moments",
+    "markowitz_policy": "market",
+    "merge_states": "market",
+    "optimal_objective_value": "moments",
+    "optimize_basis": "hedging",
+    "q_of": "market",
+    "scaling_constant": "moments",
+    "silverman_bandwidth": "leverage",
+    "smm_direction": "moments",
+    "smm_policy": "market",
+    "solve_hedge": "hedging",
+    "tas": "moments",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and cache the value (PEP 562)."""
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,24 +16,18 @@ status: 0 success, 1 numerical failure (e.g. a non-positive-definite
 state), 2 invalid input; :mod:`smmport.errors` states which errors are
 which. Identical invocations produce byte-identical output; numbers are
 serialized with 17 significant digits so values round-trip losslessly.
+Each command imports the modules it runs, so a cold call loads no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .errors import DomainError, SmmError
-from .hedging import constraints_from_dict, flatten_pseudo_assets, solve_hedge
-from .lcem import LcemComparison, LcemModel, McConfig, compare_policies
-from .leverage import LeverageSample, leverage_curve
-from .market import DiscreteMarket, evaluate, merge_states, q_of, smm_policy
-from .moments import Kelly, MeanVariance, SharpeBudget, optimal_objective_value
 
 
 def _fmt_row(row, sep: str) -> str:
@@ -87,7 +81,9 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _objective_from_args(args) -> SharpeBudget | MeanVariance | Kelly:
+def _objective_from_args(args):
+    from .moments import Kelly, MeanVariance, SharpeBudget
+
     if args.objective == "sharpe":
         return SharpeBudget(risk_budget=args.risk_budget, risk_free=args.risk_free)
     if args.objective == "mean-variance":
@@ -96,15 +92,22 @@ def _objective_from_args(args) -> SharpeBudget | MeanVariance | Kelly:
 
 
 def _cmd_solve_discrete(args) -> str:
+    from dataclasses import asdict
+
+    from .market import DiscreteMarket, evaluate, q_of, smm_policy
+    from .moments import optimal_objective_value
+
     market = DiscreteMarket.from_dict(_load_json(args.market))
     objective = _objective_from_args(args)
     rfr = args.risk_free if args.objective == "sharpe" else 0.0
     out = {
         "command": "solve-discrete",
-        "objective": {"kind": args.objective, **dataclasses.asdict(objective)},
+        "objective": {"kind": args.objective, **asdict(objective)},
         "q": q_of(market),
     }
     if args.constraints:
+        from .hedging import constraints_from_dict, solve_hedge
+
         constraints = constraints_from_dict(_load_json(args.constraints), market)
         policy, sol = solve_hedge(market, constraints, objective)
         out["q_g"] = sol.q_g
@@ -120,6 +123,8 @@ def _cmd_solve_discrete(args) -> str:
 
 
 def _cmd_merge_states(args) -> str:
+    from .market import DiscreteMarket, merge_states, q_of
+
     market = DiscreteMarket.from_dict(_load_json(args.market))
     try:
         subset = [int(tok) for tok in args.subset.split(",") if tok.strip() != ""]
@@ -137,7 +142,8 @@ def _cmd_merge_states(args) -> str:
     return render_json(out)
 
 
-def _format_report_text(report: LcemComparison, cfg: McConfig) -> str:
+def _format_report_text(report, cfg) -> str:
+    """An ``LcemComparison`` as an aligned table, with the ``McConfig`` seed."""
     rows = [
         ("q", report.q),
         ("sr_smm", report.sr_smm),
@@ -157,6 +163,8 @@ def _format_report_text(report: LcemComparison, cfg: McConfig) -> str:
 
 
 def _cmd_simulate_lcem(args) -> str:
+    from .lcem import LcemModel, McConfig, compare_policies
+
     model = LcemModel.from_dict(_load_json(args.model))
     cfg = McConfig(n_samples=args.n, seed=args.seed, n_streams=args.n_streams)
     report = compare_policies(model, cfg, risk_budget=args.risk_budget)
@@ -173,7 +181,11 @@ def _cmd_simulate_lcem(args) -> str:
     return render_json(out)
 
 
-def _read_leverage_csv(path: str) -> LeverageSample:
+def _read_leverage_csv(path: str):
+    import csv
+
+    from .leverage import LeverageSample
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -192,6 +204,8 @@ def _read_leverage_csv(path: str) -> LeverageSample:
 
 
 def _cmd_leverage_audit(args) -> str:
+    from .leverage import leverage_curve
+
     sample = _read_leverage_csv(args.csv)
     grid = None
     if args.grid_size is not None:
@@ -207,6 +221,8 @@ def _cmd_leverage_audit(args) -> str:
 
 
 def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -230,6 +246,8 @@ def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def _cmd_flatten(args) -> str:
+    from .hedging import flatten_pseudo_assets
+
     r_names, returns = _read_matrix_csv(args.returns)
     f_names, features = _read_matrix_csv(args.features)
     flat = flatten_pseudo_assets(returns, features)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -338,6 +337,9 @@ def _collect_sums(model: LcemModel, cfg: McConfig):
     if workers == 1:
         partials = run(0)
     else:
+        # imported here: a one-worker run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = [p for chunk in pool.map(run, range(workers)) for p in chunk]
     return tuple(_fsum(c) for c in zip(*partials))

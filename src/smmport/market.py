@@ -105,8 +105,9 @@ def _parse(raw: list) -> tuple[list, list, list, np.ndarray]:
         mats = [e["second_moment"] if s else e["sigma"] for e, s in zip(raw, given.tolist())]
     except (TypeError, KeyError):
         raise DomainError('needs "prob", "mu", and "sigma" or "second_moment"') from None
-    # np.array would read None as NaN and a numeric string as its value;
-    # checking each distinct type once keeps this off the per-state path
+    # _floats would read None as NaN and True as 1, and reject text without
+    # naming prob; checking each distinct type once keeps this off the
+    # per-state path
     types = set(map(type, probs))
     if not all(issubclass(t, numbers.Real) and t is not bool for t in types):
         raise DomainError("prob must be a number")

@@ -13,8 +13,9 @@ ratio mu' inv(A) mu of the locally optimal allocation, and the
 a fully scaled policy.
 
 Every outside value is read as float64 by one converter, ``_floats``,
-which gives None for what numpy cannot read; ``_as_array`` adds the
-finite, axis and emptiness checks, naming the argument that fails.
+which gives None for text and for what numpy cannot read as real
+numbers; ``_as_array`` adds the finite, axis and emptiness checks,
+naming the argument that fails.
 Every moment pair is validated by one batched check, ``_pair_stacks``:
 finite inputs, symmetrization, and a Cholesky factorization of both
 Sigma and A whose smallest pivot must pass ``PIVOT_RTOL``. A
@@ -47,9 +48,14 @@ ASYMMETRY_WARN = 1e-8
 
 def _floats(x) -> np.ndarray | None:
     """``x`` as a new C-contiguous float64 array, never the caller's own, or
-    None (never an error) if it is ragged, not numeric or past the double range."""
+    None (never an error) if it is ragged, not real, past the double range or
+    holds text, numeric text too. Float input is converted once."""
     try:
-        return np.array(x, dtype=np.float64, order="C")
+        a = np.array(x, order="C")  # ints past int64 come back as objects
+        kind = a.dtype.kind
+        if kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat):
+            return None
+        return a.astype(np.float64, copy=False) if kind in "biufO" else None
     except (TypeError, ValueError, OverflowError):
         return None
 

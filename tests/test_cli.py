@@ -16,6 +16,9 @@ from smmport import DiscreteMarket, Policy, evaluate
 from smmport.cli import main, render_json
 
 
+SAMPLES = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "sample_inputs"))
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -169,15 +172,58 @@ def test_linalg_error_is_numerical_error(capsys, monkeypatch, two_state_market_p
     assert rc == 1 and out == "" and "Singular matrix" in err
 
 
-def test_import_loads_no_scipy():
+def _loaded_in_fresh_process(code: str, cwd=None) -> tuple[set, set]:
+    """The smmport submodules, and all modules, loaded once ``code`` has
+    run in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(smmport.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, smmport; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=cwd, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    modules = set(json.loads(out.stdout.splitlines()[-1]))
+    return {m[len("smmport."):] for m in modules if m.startswith("smmport.")}, modules
+
+
+def test_import_loads_no_scipy():
+    _, modules = _loaded_in_fresh_process("import smmport")
+    assert sorted(m for m in modules if m.startswith("scipy")) == []
+
+
+def test_import_loads_no_submodule_numpy_or_thread_pool():
+    submodules, modules = _loaded_in_fresh_process("import smmport")
+    assert submodules <= {"errors"}
+    assert "numpy" not in modules and "concurrent.futures" not in modules
+
+
+# Each command, and the smmport submodules it loads besides cli, errors
+# and moments. No command on one stream loads concurrent.futures.
+COMMAND_MODULES = [
+    (["solve-discrete", "--market", SAMPLES + "/two_state_market.json"], {"market"}),
+    (["solve-discrete", "--market", SAMPLES + "/two_state_market.json",
+      "--constraints", SAMPLES + "/hedge_constraints.json"], {"market", "hedging"}),
+    (["merge-states", "--market", SAMPLES + "/two_state_market.json", "--subset", "0,1"],
+     {"market"}),
+    (["simulate-lcem", "--model", SAMPLES + "/lcem_model.json", "--n", "1000"], {"lcem"}),
+    (["leverage-audit", "--csv", SAMPLES + "/leverage_history.csv"], {"leverage"}),
+    (["flatten", "--returns", "r.csv", "--features", "f.csv", "--out", "flat.csv"],
+     {"market", "hedging"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=["solve-discrete", "solve-discrete-constraints", "merge-states",
+                              "simulate-lcem", "leverage-audit", "flatten"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
+    (tmp_path / "r.csv").write_text("r0,r1\n0.01,-0.02\n0.03,0.01\n")
+    (tmp_path / "f.csv").write_text("f0\n1.0\n-0.5\n")
+    code = ("import contextlib, io\n"
+            "from smmport.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+    submodules, loaded = _loaded_in_fresh_process(code, cwd=tmp_path)
+    assert submodules == {"cli", "errors", "moments", *modules}
+    assert "concurrent.futures" not in loaded
 
 
 def test_merge_states_command(capsys, two_state_market_path):
@@ -628,7 +674,6 @@ BAD_VALUES = {
     "ragged": [[1.0], [1.0, 2.0]],
     "number": 5,
 }
-SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "sample_inputs")
 
 
 def _market_with(field, value):
@@ -679,16 +724,55 @@ BAD_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("field, value", BAD_FIELDS)
-def test_unreadable_field_is_a_named_error(capsys, tmp_path, field, value):
+def _argv_with(tmp_path, field, value):
+    """The command that reads a sample input whose ``field`` is ``value``."""
     kind, doc = FIELDS[field](value)
     path = write_json(tmp_path / "input.json", doc)
     market = os.path.join(SAMPLES, "two_state_market.json")
-    argv = {
+    return {
         "market": ["solve-discrete", "--market", path],
         "constraints": ["solve-discrete", "--market", market, "--constraints", path],
         "model": ["simulate-lcem", "--model", path, "--n", "1000"],
     }[kind]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELDS)
+def test_unreadable_field_is_a_named_error(capsys, tmp_path, field, value):
+    argv = _argv_with(tmp_path, field, value)
+    _expect_one_error_line(*run_cli(capsys, *argv), field.split()[1])
+
+
+# A valid value of each field; written as text, even numeric text, any of
+# its numbers must be a named error, as it always was for prob.
+VALID_VALUES = {
+    "market prob": 0.5,
+    "market mu": [1.0, 1.0],
+    "market sigma": [[1.0, 0.0], [0.0, 1.0]],
+    "market second_moment": [[2.0, 1.0], [1.0, 2.0]],
+    "constraint g": [[1.0, 0.0], [0.0, 1.0]],
+    "constraint target": [[1.0, 0.0], [1.0, 0.0]],
+    "model B": [[0.04, 0.02, -0.03], [-0.03, -0.02, 0.02]],
+    "model sigma": [[1.0, -0.1], [-0.1, 1.0]],
+    "model feature_mean": [1.0, 1.0, -2.0],
+    "model feature_cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+def _as_text(value, every: bool):
+    """``value`` with its first number, or every number, as a string that
+    float() reads back as that number."""
+    if isinstance(value, list):
+        return [_as_text(v, every) if every or i == 0 else v for i, v in enumerate(value)]
+    return repr(value)
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["one-entry", "every-entry"])
+@pytest.mark.parametrize("field", VALID_VALUES)
+def test_numeric_text_is_a_named_error(capsys, tmp_path, field, every):
+    value = VALID_VALUES[field]
+    rc, out, err = run_cli(capsys, *_argv_with(tmp_path, field, value))
+    assert rc == 0 and out and err == ""
+    argv = _argv_with(tmp_path, field, _as_text(value, every))
     _expect_one_error_line(*run_cli(capsys, *argv), field.split()[1])
 
 

@@ -176,6 +176,28 @@ def test_floats_is_a_new_c_contiguous_float64_array(x):
     assert not (isinstance(x, np.ndarray) and np.shares_memory(a, x))
 
 
+@pytest.mark.parametrize("text", [
+    "1", b"1", ["1.0", "1e0"], [1.0, "1"], [[1.0], ["1"]], [2**70, "1"], [True, b"1"],
+    np.array(["1"]), np.array([b"1"]), np.array([1.0, "1"], dtype=object),
+], ids=["str", "bytes", "strs", "float-and-str", "nested", "big-int-and-str",
+        "bool-and-bytes", "str-array", "bytes-array", "object-array"])
+def test_floats_gives_none_for_numeric_text(text):
+    assert _floats(text) is None
+
+
+def test_floats_gives_none_for_complex_arrays():
+    assert _floats(np.array([1.0 + 0.0j])) is None
+
+
+@pytest.mark.parametrize("x", [[1, 2], [True, False], [2**70, 1], [[True, 2**70], [1.5, 3]],
+                               np.array([1, 2**64 - 1], dtype=np.uint64)],
+                         ids=["ints", "bools", "big-int", "mixed", "uint64"])
+def test_floats_reads_ints_and_bools(x):
+    rows = x.tolist() if isinstance(x, np.ndarray) else x
+    expected = [[float(v) for v in r] if isinstance(r, list) else float(r) for r in rows]
+    np.testing.assert_array_equal(_floats(x), expected)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_silverman_bandwidth_rejects_non_finite(bad):
     with pytest.raises(DomainError, match="^xs has non-finite entries$"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -114,7 +115,8 @@ def test_threads_capped_at_cpu_count(monkeypatch, cpus):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(lcem, "ThreadPoolExecutor", RecordingExecutor)
+    # lcem imports ThreadPoolExecutor from concurrent.futures when it needs a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
 
     def block_sums(model, seed, block_index, count, scratch):
         seen.append(block_index)
