@@ -11,6 +11,7 @@ gives a straight line through the origin.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,27 +51,40 @@ def nw_sums(xs, ys, grid, bandwidth):
     grid point j and ``num[r, j]`` the mass-weighted sum of response
     row r. ``ys`` has shape (n_responses, n_samples).
 
-    The T x G weights exp(-u**2 / 2), u = (grid[j] - xs[t]) / bandwidth,
-    are formed a block of rows at a time in one scratch buffer of at
-    most max(2**16, G) floats (512 KB when G <= 2**16), so memory beyond
-    the inputs and outputs stays bounded whatever T is. Each weight has
-    the same bits as in a dense T x G evaluation; the sums differ from
-    dense ones only in the order of summation.
+    The weight of sample t at grid point j is exp(-v**2) with
+    v = (grid[j] - xs[t]) * scale and scale = sqrt(1/2) / bandwidth: the
+    Gaussian exp(-u**2 / 2), u = (grid[j] - xs[t]) / bandwidth, to within
+    a few ulps of the exponent, so a weight's relative error is a few
+    eps times u**2 / 2 (about 2e-13 near the underflow edge, |u| ~ 37).
+    The difference is taken before scaling, so a sample lying on a grid
+    point gets weight exactly 1 even where ``xs[t] * scale`` alone would
+    overflow. A bandwidth below about 3.9e-309 would make scale overflow
+    and 0 * inf give NaN; scale is clamped to the float maximum instead,
+    which keeps weight 1 on a grid point and weight 0 at any distance
+    above about 2.2e-307 from it.
+
+    The T x G weights are formed a block of rows at a time in one
+    scratch buffer of at most max(2**16, G) floats (512 KB when
+    G <= 2**16), and each block's mass is taken as a product with one
+    ones vector of block length, so memory beyond the inputs and outputs
+    stays bounded whatever T is.
     """
     n_samples, n_grid = xs.size, grid.size
     rows = max(1, _CHUNK_ELEMS // max(n_grid, 1))
+    scale = min(math.sqrt(0.5) / bandwidth, sys.float_info.max)
     scratch = np.empty((min(rows, n_samples), n_grid))
+    ones = np.ones(min(rows, n_samples))
     den = np.zeros(n_grid)
     num = np.zeros((ys.shape[0], n_grid))
     for lo in range(0, n_samples, rows):
         hi = min(lo + rows, n_samples)
         w = scratch[:hi - lo]
         np.subtract(grid, xs[lo:hi, None], out=w)
-        w /= bandwidth
+        w *= scale
         w *= w
-        w *= -0.5
+        np.negative(w, out=w)
         np.exp(w, out=w)
-        den += w.sum(axis=0)
+        den += ones[:hi - lo] @ w
         num += ys[:, lo:hi] @ w
     return den, num
 

@@ -450,6 +450,18 @@ def test_leverage_audit_huge_leverage(capsys, tmp_path):
     assert len(out.splitlines()) == 102
 
 
+def test_leverage_audit_tiny_bandwidth(capsys):
+    # only the grid ends coincide with samples: they keep weight 1, and
+    # no point may turn into NaN
+    rc, out, err = run_cli(capsys, "leverage-audit", "--csv",
+                           SAMPLES + "/leverage_history.csv", "--bandwidth", "5e-324")
+    assert (rc, err) == (0, "")
+    rows = [[float(tok) for tok in line.split(",")] for line in out.splitlines()[1:]]
+    x = np.loadtxt(SAMPLES + "/leverage_history.csv", delimiter=",", skiprows=1)[:, 0]
+    assert [row[0] for row in rows] == [x.min(), x.max()]
+    assert np.all(np.isfinite(rows))
+
+
 def test_leverage_audit_header_required(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,0.1\n")

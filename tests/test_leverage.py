@@ -230,6 +230,65 @@ def test_nw_sums_chunk_boundaries(n_grid, t_count):
         np.testing.assert_allclose(est, want_num[0] / want_den, rtol=1e-13, atol=0.0)
 
 
+def _leverage_shaped(seed, t_count=20_000):
+    """xs and response rows shaped like the leverage workload's data."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.5, 2.5, t_count)
+    y = rng.uniform(0.5, 1.5, t_count)
+    return xs, np.vstack([y, y * y])
+
+
+@pytest.mark.parametrize("u_max", [30.0, 38.0, 40.0])
+def test_nw_sums_across_exp_range(u_max):
+    # T = 2e4 samples and G = 101 points over their range; the farthest
+    # pairs reach |u| = u_max, where exp(-u**2 / 2) turns subnormal (38)
+    # or underflows to 0 (40)
+    xs, ys = _leverage_shaped(int(u_max))
+    grid = np.linspace(0.5, 2.5, 101)
+    h = 2.0 / u_max
+    den, num = leverage.nw_sums(xs, ys, grid, h)
+    want_den, want_num = _fsum_oracle(xs, ys, grid, h)
+    np.testing.assert_allclose(den, want_den, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(num, want_num, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(den >= leverage.MIN_KERNEL_MASS,
+                                  want_den >= leverage.MIN_KERNEL_MASS)
+
+
+@pytest.mark.parametrize("h", [0.01, 2.0 / 38.0, 0.2])
+def test_nw_sums_beyond_the_sample(h):
+    # Grid points up to 40 bandwidths past the largest sample, where the
+    # kernel mass falls from ~1 through MIN_KERNEL_MASS to 0. A weight
+    # exp(-e) carries the rounding of its exponent e times e, so at
+    # point j the sums may differ from the oracle by a few eps times
+    # e_j, the exponent of the heaviest weight (~2e-13 near e = 690).
+    xs, ys = _leverage_shaped(46)
+    grid = np.linspace(2.5, 2.5 + 40.0 * h, 101)
+    den, num = leverage.nw_sums(xs, ys, grid, h)
+    want_den, want_num = _fsum_oracle(xs, ys, grid, h)
+    mask = den >= leverage.MIN_KERNEL_MASS
+    np.testing.assert_array_equal(mask, want_den >= leverage.MIN_KERNEL_MASS)
+    assert 0 < mask.sum() < grid.size
+    e = 0.5 * ((grid[mask] - xs.max()) / h) ** 2
+    rtol = 1e-13 + 8.0 * np.finfo(np.float64).eps * e
+    assert np.all(np.abs(den[mask] - want_den[mask]) <= rtol * want_den[mask])
+    assert np.all(np.abs(num[:, mask] - want_num[:, mask]) <= rtol * want_num[:, mask])
+
+
+@pytest.mark.parametrize("h", [5e-324, 1e-308, 3e-308])
+def test_tiny_bandwidth_interpolates(h):
+    # below ~3.9e-309 sqrt(1/2) / h overflows; the weights must stay 1
+    # on a sample's own grid point and 0 elsewhere, never NaN
+    xs = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(kernel_regress(xs, xs, xs, h), xs)
+
+
+def test_huge_samples_on_their_grid_points():
+    # x * scale alone overflows here; the difference is taken first
+    xs = np.array([1e300, 2e300, 3e300])
+    np.testing.assert_array_equal(kernel_regress(xs, [1.0, 2.0, 3.0], xs, 1e-10),
+                                  [1.0, 2.0, 3.0])
+
+
 def test_leverage_curve_memory_bound():
     # a dense T x G weight matrix at T = 2e5, G = 101 traces ~490 MB
     sample, _, _ = synthetic_sample(seed=45, t_count=200_000)
