@@ -15,7 +15,8 @@ Results go to standard output as JSON (CSV for leverage-audit). Exit
 status: 0 success, 1 numerical failure (e.g. a non-positive-definite
 state), 2 invalid input; :mod:`smmport.errors` states which errors are
 which. Identical invocations produce byte-identical output; numbers are
-serialized with 17 significant digits so values round-trip losslessly.
+serialized with 17 significant digits so values round-trip losslessly;
+the floats of a matrix, a row or a CSV table are formatted in one call.
 Each command imports the modules it runs, so a cold call loads no others.
 """
 
@@ -24,20 +25,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, SmmError
 
 
-def _fmt_row(row, sep: str) -> str:
-    """The floats of ``row`` at 17 significant digits, with NaN and
-    Infinity spelled as in JSON, joined by ``sep`` in one formatting call."""
-    text = sep.join(["%.17g"] * len(row)) % tuple(row)
+def _fmt_rows(rows, sep: str, row_sep: str) -> str:
+    """The floats of ``rows`` at 17 significant digits, with NaN and
+    Infinity spelled as in JSON: a row's floats joined by ``sep``, rows by
+    ``row_sep``, formatted in one call."""
+    lengths = set(map(len, rows))
+    if len(lengths) == 1:
+        template = row_sep.join([sep.join(["%.17g"] * lengths.pop())] * len(rows))
+    else:
+        template = row_sep.join([sep.join(["%.17g"] * len(row)) for row in rows])
+    text = template % tuple(chain.from_iterable(rows))
     # a finite float never formats with an "n": only nan and inf need renaming
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
+
+
+def _fmt_float(x: float) -> str:
+    """One float as :func:`_fmt_rows` writes it."""
+    return _fmt_rows(((x,),), "", "")
 
 
 def render_json(obj) -> str:
@@ -46,9 +59,13 @@ def render_json(obj) -> str:
     def emit(o) -> str:
         # floats first: they are nearly every value rendered
         if isinstance(o, float):
-            return _fmt_row([o], "")
-        if isinstance(o, list) and set(map(type, o)) == {float}:
-            return "[" + _fmt_row(o, ", ") + "]"
+            return _fmt_float(o)
+        if isinstance(o, list) and o:
+            kinds = set(map(type, o))
+            if kinds == {float}:
+                return "[" + _fmt_rows((o,), ", ", "") + "]"
+            if kinds == {list} and set(map(type, chain.from_iterable(o))) <= {float}:
+                return "[[" + _fmt_rows(o, ", ", "], [") + "]]"
         if isinstance(o, dict):
             items = ", ".join(f"{json.dumps(str(k))}: {emit(v)}" for k, v in o.items())
             return "{" + items + "}"
@@ -59,7 +76,7 @@ def render_json(obj) -> str:
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, np.floating):
-            return _fmt_row([float(o)], "")
+            return _fmt_float(float(o))
         if o is None:
             return "null"
         return json.dumps(str(o))
@@ -69,8 +86,8 @@ def render_json(obj) -> str:
 
 def _csv_text(header: list[str], rows) -> str:
     """A header line, then one line of 17-digit numbers per row."""
-    lines = [",".join(header), *(_fmt_row(row, ",") for row in rows)]
-    return "\n".join(lines) + "\n"
+    text = ",".join(header) + "\n"
+    return text + _fmt_rows(rows, ",", "\n") + "\n" if rows else text
 
 
 def _load_json(path: str) -> dict:
@@ -153,11 +170,11 @@ def _format_report_text(report, cfg) -> str:
     ]
     lines = [f"{'metric':<12} {'value':>24} {'std_error':>24} {'n':>9}"]
     for name, est in rows:
-        value = _fmt_row([est.value], "")
-        std_error = _fmt_row([est.std_error], "")
+        value = _fmt_float(est.value)
+        std_error = _fmt_float(est.std_error)
         lines.append(f"{name:<12} {value:>24} {std_error:>24} {est.n:>9d}")
-    lines.append(f"{'smm_scale':<12} {_fmt_row([report.smm_scale], ''):>24}")
-    lines.append(f"{'mp_scale':<12} {_fmt_row([report.mp_scale], ''):>24}")
+    lines.append(f"{'smm_scale':<12} {_fmt_float(report.smm_scale):>24}")
+    lines.append(f"{'mp_scale':<12} {_fmt_float(report.mp_scale):>24}")
     lines.append(f"{'seed':<12} {cfg.seed:>24d}")
     return "\n".join(lines) + "\n"
 

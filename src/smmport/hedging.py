@@ -37,11 +37,15 @@ from .errors import (
     ShapeMismatch,
     SingularBasis,
     SingularConstraintSystem,
+    SmmError,
 )
 from .market import (
+    Q_CONSISTENCY_TOL,
     DiscreteMarket,
     Policy,
+    _EPS,
     _fsum_states,
+    _fsum_symmetric,
     _per_state_vectors,
     evaluate,
     q_of,
@@ -105,7 +109,10 @@ class HedgeSolution:
     """Multiplier system and the squared-Hansen split for a hedge solve.
 
     ``q_g + spanned_q`` equals the unconstrained q of the market, with
-    ``spanned_q = b' inv(M) b`` the part lost to the constraints.
+    ``spanned_q = b' inv(M) b`` the part lost to the constraints. ``q_g``
+    is computed on its own path, as the second moment of the unit
+    constrained policy, and the split is checked against q to
+    ``Q_CONSISTENCY_TOL`` plus the rounding error of ``spanned_q``.
     """
 
     m_mat: np.ndarray
@@ -142,6 +149,9 @@ def solve_hedge(
         product (condition estimate of M above 1e12).
     DegenerateMarket
         If q_g = 0 under a SharpeBudget objective.
+    SmmError
+        If q_g + spanned_q differs from q by more than ``Q_CONSISTENCY_TOL``
+        plus the rounding error that M's condition allows spanned_q.
     """
     q = q_of(market)
     n_con = len(constraints)
@@ -171,10 +181,22 @@ def solve_hedge(
         )
     multipliers = np.linalg.solve(m_mat, b_vec)
     spanned_q = float(b_vec @ multipliers)
-    q_g = max(q - spanned_q, 0.0)
+    # q_g is the second moment of the unit policy inv(A)(mu + G c), a sum
+    # of nonnegative terms; q - spanned_q would cancel when the
+    # constraints nearly span mu
+    unit = Policy(market.smm_directions + x @ multipliers)
+    q_g = evaluate(market, unit).second_moment
+    # spanned_q inherits the rounding of M, which grows with M's condition
+    # as about J eps |c|'|M||c| (at most a quarter of that on 1,190 random
+    # systems up to cond 1e12); the check allows four times that on top
+    c = np.abs(multipliers)
+    slack = 4.0 * n_con * _EPS * float(c @ np.abs(m_mat) @ c)
+    if not abs(q_g + spanned_q - q) <= Q_CONSISTENCY_TOL + slack:
+        raise SmmError(
+            f"internal: q_g + spanned_q = {q_g + spanned_q!r} differs from q = {q!r}"
+        )
 
-    scale = scaling_constant(q_g, objective)
-    policy = Policy(scale * (market.smm_directions + x @ multipliers))
+    policy = unit.scaled(scaling_constant(q_g, objective))
     sol = HedgeSolution(
         m_mat=m_mat, b_vec=b_vec, multipliers=multipliers,
         q_g=q_g, spanned_q=spanned_q,
@@ -192,7 +214,8 @@ def hedging_example_c1(market: DiscreteMarket, target) -> float:
     moments = evaluate(market, Policy(w))
     wm, waw = moments.mean, moments.second_moment
     q = q_of(market)
-    denom = waw - 2.0 * wm**2 + wm**2 * q
+    wm2 = wm * wm
+    denom = waw - 2.0 * wm2 + wm2 * q
     if denom == 0.0:
         raise SingularConstraintSystem("hedge target yields a zero constraint")
     return -(wm - wm * q) / denom
@@ -221,9 +244,9 @@ def optimize_basis(
     ], axis=-1)
     p = market.probs
     y = np.einsum("sji,sjk->sik", market.chol_second, f)
-    gram = _fsum_states(p[:, None, None] * np.einsum("sik,sil->skl", y, y))
+    # y_k . y_l and y_l . y_k are the same products summed in the same order
+    gram = _fsum_symmetric(p[:, None, None] * np.einsum("sik,sil->skl", y, y))
     mu_tilde = _fsum_states(p[:, None] * np.einsum("sik,si->sk", f, market.mu))
-    gram = (gram + gram.T) / 2.0
 
     try:
         pseudo = MomentPair.from_second_moment(mu_tilde, gram)

@@ -74,6 +74,16 @@ def _fsum_states(terms: np.ndarray):
     return np.array([math.fsum(c) for c in columns]).reshape(terms.shape[1:])
 
 
+def _fsum_symmetric(terms: np.ndarray) -> np.ndarray:
+    """:func:`_fsum_states` of a (S, k, k) stack whose every matrix is
+    exactly symmetric: sums the upper triangle only and mirrors it."""
+    k = terms.shape[-1]
+    rows, cols = np.triu_indices(k)
+    out = np.empty((k, k))
+    out[rows, cols] = out[cols, rows] = _fsum_states(terms[:, rows, cols])
+    return out
+
+
 def _check_probs(probs: np.ndarray) -> None:
     bad = ~((probs > 0.0) & (probs <= 1.0 + PROB_SUM_TOL))
     if bad.any():
@@ -147,7 +157,7 @@ class DiscreteMarket:
     ``MomentPair`` views, built on first access.
     """
 
-    __slots__ = _STACKS + ("_states",)
+    __slots__ = _STACKS + ("_states", "_q")
 
     def __init__(self, states: Iterable[tuple[float, MomentPair]]):
         states = tuple((_probability(i, p), m) for i, (p, m) in enumerate(states))
@@ -197,7 +207,7 @@ class DiscreteMarket:
         market = cls.__new__(cls)
         for name in _STACKS:
             setattr(market, name, _lock(stacks[name]))
-        market._states = None
+        market._states = market._q = None
         return market
 
     @property
@@ -354,16 +364,20 @@ def q_of(market: DiscreteMarket) -> float:
     Computed as sum_s p_s mu_s' inv(A_s) mu_s and cross-checked against
     the rank-one-update form 1 - sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s);
     disagreement beyond tolerance signals a numerically inconsistent
-    market and raises.
+    market and raises. The checked value is kept on the market, so later
+    calls return it; a market that fails the check keeps nothing and
+    raises on every call.
     """
-    p = market.probs
-    direct = _fsum_states(p * market.conditional_q)
-    alt = 1.0 - _fsum_states(p / (1.0 + market.conditional_sharpe_sq))
-    if abs(direct - alt) > Q_CONSISTENCY_TOL:
-        raise SmmError(
-            f"internal: q formulas disagree ({direct!r} vs {alt!r})"
-        )
-    return direct
+    if market._q is None:
+        p = market.probs
+        direct = _fsum_states(p * market.conditional_q)
+        alt = 1.0 - _fsum_states(p / (1.0 + market.conditional_sharpe_sq))
+        if abs(direct - alt) > Q_CONSISTENCY_TOL:
+            raise SmmError(
+                f"internal: q formulas disagree ({direct!r} vs {alt!r})"
+            )
+        market._q = direct
+    return market._q
 
 
 def smm_policy(market: DiscreteMarket, objective: Objective) -> Policy:
@@ -436,7 +450,7 @@ def merge_states(
     p = market.probs[idx]
     p_merged = 1.0 if len(idx) == market.n_states else math.fsum(p.tolist())
     mu_acc = _fsum_states(p[:, None] * market.mu[idx])
-    a_acc = _fsum_states(p[:, None, None] * market.second_moment[idx])
+    a_acc = _fsum_symmetric(p[:, None, None] * market.second_moment[idx])
     given = market.second_supplied
     mats = np.where(given[:, None, None], market.second_moment, market.sigma)
     arrays = [np.delete(a, idx[1:], axis=0) for a in (market.probs, market.mu, mats, given)]

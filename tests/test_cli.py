@@ -674,6 +674,45 @@ def test_float_rows_match_oracle():
     check()
 
 
+def test_float_matrices_match_oracle():
+    """Rectangular float matrices take the one-call path of render_json and
+    _csv_text; one planted np.float64, int or bool sends the matrix down
+    the generic path. Both must write what the oracle writes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf,
+                         -0.0, 5e-324, 1.7976931348623157e308]),
+    )
+    # width 0 gives empty rows
+    matrices = st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.lists(floats, min_size=m, max_size=m), min_size=1, max_size=12))
+    leaves = st.one_of(floats.map(np.float64), st.integers(), st.booleans())
+
+    def plant(drawn):
+        rows, leaf, at = drawn
+        cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+        if cells:
+            i, j = cells[at % len(cells)]
+            rows[i][j] = leaf
+        return rows
+
+    mixed = st.tuples(matrices, leaves, st.integers(0, 10**6)).map(plant)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.one_of(matrices, mixed))
+    def check(rows):
+        assert render_json(rows) == _render_json_oracle(rows)
+        doc = {"policy": rows, "q": 0.5}
+        assert render_json(doc) == _render_json_oracle(doc)
+        if all(type(v) is float for row in rows for v in row):
+            expected = ["a"] + [",".join(map(_fmt_oracle, r)) for r in rows]
+            assert smmport.cli._csv_text(["a"], rows) == "\n".join(expected) + "\n"
+
+    check()
+
+
 # One malformed value in one field of a sample input: each must give exit
 # 2, no stdout and a single "error:" line naming the field, never a
 # traceback (main runs in process, so an uncaught error fails the test).

@@ -14,6 +14,7 @@ from smmport import (
     SharpeBudget,
     SingularBasis,
     SingularConstraintSystem,
+    SmmError,
     constraints_from_dict,
     evaluate,
     flatten_pseudo_assets,
@@ -26,6 +27,8 @@ from smmport import (
     solve_hedge,
 )
 from smmport import DiscreteMarket
+from smmport.hedging import CONDITION_LIMIT
+from smmport.market import Q_CONSISTENCY_TOL
 from conftest import random_market
 
 
@@ -403,3 +406,60 @@ def test_constraints_from_dict(two_state_market):
         constraints_from_dict(
             {"constraints": [{"kind": "raw"}]}, two_state_market
         )
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_q_g_near_spanned_mean_matches_high_precision(eps):
+    """One raw constraint g = mu + eps N(0, 1), so q_g is about eps^2: q_g
+    is the sum of the unit policy's nonnegative second-moment terms, not
+    q - spanned_q, which loses every digit as eps shrinks."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    market = random_market(rng, n_assets=3, n_states=50)
+    g = market.mu + eps * rng.standard_normal(market.mu.shape)
+    _, sol = solve_hedge(market, [HedgeConstraint.raw(g, market)], Kelly())
+
+    with mp.workdps(50):
+        q = m = b = mp.mpf(0)
+        for p, a, mu, gs in zip(market.probs, market.second_moment, market.mu, g):
+            a = mp.matrix(a.tolist())
+            x_mu = mp.lu_solve(a, mp.matrix(mu.tolist()))
+            x_g = mp.lu_solve(a, mp.matrix(gs.tolist()))
+            q += p * sum(u * v for u, v in zip(mu, x_mu))
+            m += p * sum(u * v for u, v in zip(gs, x_g))
+            b -= p * sum(u * v for u, v in zip(gs, x_mu))
+        q_g = q - b * b / m
+        assert abs(sol.q_g - q_g) / q_g < 1e-8
+        assert sol.spanned_q == pytest.approx(float(b * b / m), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ill_conditioned_constraints_are_not_rejected(seed):
+    """Two nearly parallel constraints make cond(M) about 5e10, below
+    CONDITION_LIMIT. b' inv(M) b then carries up to about 2e-9 of rounding,
+    past Q_CONSISTENCY_TOL alone in six of these ten seeds; the split
+    check allows for it, so each solves as before."""
+    rng = np.random.default_rng(seed)
+    market = random_market(rng, n_assets=3, n_states=50)
+    g1 = market.mu + rng.standard_normal(market.mu.shape)
+    g2 = g1 + 1e-5 * rng.standard_normal(market.mu.shape)
+    constraints = [HedgeConstraint.raw(g, market) for g in (g1, g2)]
+    _, sol = solve_hedge(market, constraints, Kelly())
+    assert 1e9 < np.linalg.cond(sol.m_mat) < CONDITION_LIMIT
+    assert 0.0 < sol.q_g < q_of(market)
+
+
+def test_wrong_multipliers_fail_the_split_check(monkeypatch):
+    """A multiplier solve off by 1e-6 relative moves spanned_q to first
+    order and q_g only to second, so the split no longer adds up to q."""
+    rng = np.random.default_rng(11)
+    market = random_market(rng, n_assets=3, n_states=50)
+    constraints = [HedgeConstraint.raw(market.mu + rng.standard_normal(market.mu.shape),
+                                       market)]
+    _, sol = solve_hedge(market, constraints, Kelly())
+    assert abs(sol.q_g + sol.spanned_q - q_of(market)) <= Q_CONSISTENCY_TOL
+    assert sol.spanned_q > 1e-3
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda m, b: solve(m, b) * (1.0 + 1e-6))
+    with pytest.raises(SmmError, match="q_g \\+ spanned_q"):
+        solve_hedge(market, constraints, Kelly())

@@ -15,6 +15,7 @@ from smmport import (
     NotPositiveDefinite,
     Policy,
     SharpeBudget,
+    SmmError,
     conditional_sharpe_sq,
     evaluate,
     markowitz_direction,
@@ -24,6 +25,7 @@ from smmport import (
     smm_direction,
     smm_policy,
 )
+from smmport.moments import _lock
 from conftest import random_market, random_moment_pair, random_spd
 
 
@@ -111,6 +113,33 @@ def test_q_of_dual_formulas_agree():
             p / (1.0 + conditional_sharpe_sq(m)) for p, m in market.states
         )
         assert abs(q_of(market) - alt) <= 1e-10
+
+
+def test_q_of_is_kept_per_market():
+    rng = np.random.default_rng(8)
+    market = random_market(rng, n_assets=3, n_states=40)
+    q = q_of(market)
+    assert q_of(market).hex() == q.hex()
+    # later calls return the kept value without summing again
+    before = market.conditional_sharpe_sq
+    market.conditional_sharpe_sq = _lock(before * (1.0 + 1e-3))
+    assert q_of(market).hex() == q.hex()
+    market.conditional_sharpe_sq = before
+    # a merged market is a new market with its own q, as if built afresh
+    merged, delta_q = merge_states(market, [0, 3, 7])
+    mats = np.where(merged.second_supplied[:, None, None], merged.second_moment, merged.sigma)
+    fresh = DiscreteMarket.from_arrays(merged.probs, merged.mu, mats, merged.second_supplied)
+    assert q_of(merged).hex() == q_of(fresh).hex()
+    assert delta_q == q_of(merged) - q_of(market) < 0.0
+
+
+def test_q_of_failed_check_raises_on_every_call():
+    rng = np.random.default_rng(9)
+    market = random_market(rng, n_assets=3, n_states=40)
+    market.conditional_sharpe_sq = _lock(market.conditional_sharpe_sq * (1.0 + 1e-3))
+    for _ in range(2):
+        with pytest.raises(SmmError, match="q formulas disagree"):
+            q_of(market)
 
 
 def test_smm_policy_risk_saturation(two_state_market):

@@ -513,3 +513,16 @@ def test_from_arrays_copies_its_inputs():
             assert not getattr(market, name).flags.writeable
     arrays[1][0] += 1.0
     assert_same_bits(market.mu[0], before[1][0])
+
+
+@pytest.mark.parametrize("s, n", SIZES)
+def test_fsum_symmetric_matches_full_sum(s, n):
+    """Summing one triangle of exactly symmetric stacks and mirroring it
+    gives the bits of the full sum; magnitudes span many decades so that
+    the sums round."""
+    rng = np.random.default_rng(1000 * s + n)
+    half = rng.standard_normal((s, n, n)) * 10.0 ** rng.integers(-30, 30, (s, n, n))
+    terms = half + np.swapaxes(half, 1, 2)
+    got = smmport.market._fsum_symmetric(terms)
+    assert np.array_equal(got, got.T)
+    assert got.tobytes() == smmport.market._fsum_states(terms).tobytes()
