@@ -198,32 +198,49 @@ def _cmd_simulate_lcem(args) -> str:
     return render_json(out)
 
 
-def _read_leverage_csv(path: str):
+def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """The stripped header names and the (rows, fields) floats of a CSV
+    file. Empty lines are skipped; every other row must have the header's
+    field count, and each field is read by ``float()``. An error names
+    the row at fault, counting the header and empty lines."""
     import csv
-
-    from .leverage import LeverageSample
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["leverage", "return"]:
-            raise DomainError(f'{path}: expected header "leverage,return"')
-        lev, ret = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        header = next(filter(None, reader), None)
+        if header is None:
+            raise DomainError(f"{path}: empty file")
+        width = len(header)
+        fields, row_nums = [], []
+        for row_num, row in enumerate(reader, start=reader.line_num + 1):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise DomainError(f"{path}:{row_num}: {len(row)} fields, header has {width}")
+            fields += row
+            row_nums.append(row_num)
+    if not row_nums:
+        raise DomainError(f"{path}: no data rows")
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        # convert again row by row to name the first one float() rejects
+        for row_num, k in zip(row_nums, range(0, len(fields), width)):
+            row = fields[k:k + width]
             try:
-                lev.append(float(row[0]))
-                ret.append(float(row[1]))
-            except (ValueError, IndexError):
+                list(map(float, row))
+            except ValueError:
                 raise DomainError(f"{path}:{row_num}: malformed row {row!r}") from None
-    return LeverageSample.from_observations(lev, ret)
+    return [h.strip() for h in header], values.reshape(-1, width)
 
 
 def _cmd_leverage_audit(args) -> str:
-    from .leverage import leverage_curve
+    from .leverage import LeverageSample, leverage_curve
 
-    sample = _read_leverage_csv(args.csv)
+    names, data = _read_csv(args.csv)
+    if [name.lower() for name in names[:2]] != ["leverage", "return"]:
+        raise DomainError(f'{args.csv}: expected header "leverage,return"')
+    sample = LeverageSample.from_observations(data[:, 0], data[:, 1])
     grid = None
     if args.grid_size is not None:
         if args.grid_size < 1:
@@ -237,36 +254,11 @@ def _cmd_leverage_audit(args) -> str:
     return _csv_text(["x", "m_hat", "s_hat", "lever_hat"], np.column_stack(columns).tolist())
 
 
-def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DomainError(f"{path}: empty file")
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DomainError(
-                    f"{path}:{row_num}: {len(row)} fields, header has {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DomainError(f"{path}:{row_num}: malformed row {row!r}") from None
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    return [h.strip() for h in header], np.array(rows)
-
-
 def _cmd_flatten(args) -> str:
     from .hedging import flatten_pseudo_assets
 
-    r_names, returns = _read_matrix_csv(args.returns)
-    f_names, features = _read_matrix_csv(args.features)
+    r_names, returns = _read_csv(args.returns)
+    f_names, features = _read_csv(args.features)
     flat = flatten_pseudo_assets(returns, features)
     names = [f"{rn}*{fn}" for rn in r_names for fn in f_names]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

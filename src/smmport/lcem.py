@@ -428,9 +428,12 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
         n=n,
     )
 
+    # sr_smm^2 - sr_mp^2 = [e(b + c) - c^2] / [(1 - a) v] with e = as2/n, as
+    # a = s - s^2 + a*s^2: no difference of nearly equal Sharpe ratios
     grad_delta = np.array([d_smm, -d_b, -d_c])
     delta = McEstimate(
-        value=sr_smm_val - sr_mp_val,
+        value=(as2 / n * (b_bar + c_bar) - c_bar * c_bar)
+        / ((1.0 - a_bar) * v * (sr_smm_val + sr_mp_val)),
         std_error=math.sqrt(max(grad_delta @ cov @ grad_delta, 0.0) / n),
         n=n,
     )

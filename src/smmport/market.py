@@ -431,7 +431,8 @@ def merge_states(
     the mixture); its covariance is recovered as A - mu mu'. It is placed
     at the smallest merged index, and :meth:`DiscreteMarket.from_arrays`
     checks the other states again, which keeps their bits. Returns the new
-    market and delta_q = q(merged) - q(original), which is never positive.
+    market and delta_q = q(merged) - q(original) <= 0, as -sum_{s in subset}
+    p_s ||L_s'(x_s - x_m)||^2, x = inv(A) mu and x_m the merged state's.
     """
     subset = list(subset)
     # checking each distinct type once keeps this off the per-index path
@@ -457,4 +458,7 @@ def merge_states(
     for a, merged in zip(arrays, (p_merged, mu_acc / p_merged, a_acc / p_merged, True)):
         a[idx[0]] = merged
     new_market = DiscreteMarket.from_arrays(*arrays)
-    return new_market, q_of(new_market) - q_of(market)
+    q_of(new_market), q_of(market)  # each raises if its q formulas disagree
+    dx = market.smm_directions[idx] - new_market.smm_directions[idx[0]]
+    y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
+    return new_market, -_fsum_states(p * np.einsum("si,si->s", y, y))

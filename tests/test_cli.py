@@ -469,6 +469,66 @@ def test_leverage_audit_header_required(capsys, tmp_path):
     assert rc == 2 and "leverage,return" in err
 
 
+def test_leverage_audit_grid_size_zero(capsys):
+    rc, out, err = run_cli(capsys, "leverage-audit", "--csv",
+                           SAMPLES + "/leverage_history.csv", "--grid-size", "0")
+    assert (rc, out, err) == (2, "", "error: --grid-size must be at least 1\n")
+
+
+def run_csv_command(capsys, tmp_path, command, text):
+    """Run ``command`` with ``text`` as its CSV: the leverage sample, or the
+    returns of ``flatten`` next to a one-column features file."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    if command == "leverage-audit":
+        rc, out, err = run_cli(capsys, command, "--csv", str(path), "--grid-size", "3")
+        return rc, out, err, path
+    features = tmp_path / "f.csv"
+    features.write_text("f0\n1.5\n-0.5\n")
+    out_path = tmp_path / "flat.csv"
+    rc, out, err = run_cli(capsys, command, "--returns", str(path),
+                           "--features", str(features), "--out", str(out_path))
+    return rc, (out_path.read_text() if rc == 0 else out), err, path
+
+
+@pytest.mark.parametrize("command", ["leverage-audit", "flatten"])
+def test_csv_fields_read_as_python_float(capsys, tmp_path, command):
+    # surrounding whitespace, digit separators, quoted fields and empty
+    # lines (before the header too) read as the plain file does
+    plain = "leverage,return\n1000,0.5\n2,-0.25\n"
+    loose = "\n leverage , return \n\n 1_000 ,\"0.5\"\n\n2,-2.5e-1\n\n"
+    rc, expected, err, _ = run_csv_command(capsys, tmp_path, command, plain)
+    assert (rc, err) == (0, "")
+    got = run_csv_command(capsys, tmp_path, command, loose)
+    assert got[:3] == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", ["leverage-audit", "flatten"])
+@pytest.mark.parametrize("text, message", [
+    ("", "{path}: empty file"),
+    ("\n\n", "{path}: empty file"),
+    ("leverage,return\n", "{path}: no data rows"),
+    ("leverage,return\n\n", "{path}: no data rows"),
+    # a row wider than the header is never cut to fit
+    ("leverage,return\n1.0,0.1\n1,234.5,0.01\n", "{path}:3: 3 fields, header has 2"),
+    ("leverage,return\n1.0,0.1\n\n2.0\n", "{path}:4: 1 fields, header has 2"),
+    ("leverage,return\n1.0,0.1\n\n2.0,x\n", "{path}:4: malformed row ['2.0', 'x']"),
+    ("\nleverage,return\n1.0,0.1\n2.0,\n", "{path}:4: malformed row ['2.0', '']"),
+])
+def test_csv_errors_name_path_and_row(capsys, tmp_path, command, text, message):
+    rc, out, err, path = run_csv_command(capsys, tmp_path, command, text)
+    assert (rc, out, err) == (2, "", "error: " + message.format(path=path) + "\n")
+
+
+@pytest.mark.parametrize("command", ["leverage-audit", "flatten"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_cells_exit_2(capsys, tmp_path, command, cell):
+    rc, out, err, _ = run_csv_command(
+        capsys, tmp_path, command, f"leverage,return\n1.0,0.1\n2.0,{cell}\n")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "non-finite" in err
+
+
 def test_flatten_cli(capsys, tmp_path):
     returns = tmp_path / "r.csv"
     returns.write_text("r1,r2\n1.0,2.0\n3.0,4.0\n")

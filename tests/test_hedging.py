@@ -408,6 +408,12 @@ def test_constraints_from_dict(two_state_market):
         )
 
 
+def test_constraint_without_kind(two_state_market):
+    data = {"constraints": [{"g": [[1.0, 0.0], [0.0, 1.0]]}]}
+    with pytest.raises(DomainError, match='^constraint 0: needs a "kind"$'):
+        constraints_from_dict(data, two_state_market)
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
 def test_q_g_near_spanned_mean_matches_high_precision(eps):
     """One raw constraint g = mu + eps N(0, 1), so q_g is about eps^2: q_g

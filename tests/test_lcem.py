@@ -66,6 +66,14 @@ def test_model_rejects_empty_B(B):
                   feature_cov=np.eye(2))
 
 
+def test_model_symmetrizes_feature_cov_with_a_warning():
+    with pytest.warns(UserWarning, match=r"feature_cov deviates from symmetry by "
+                                         r"1\.000e-01; symmetrizing"):
+        model = LcemModel(B=np.ones((2, 2)), sigma=np.eye(2), feature_mean=np.zeros(2),
+                          feature_cov=[[1.0, 0.1], [0.0, 1.0]])
+    np.testing.assert_array_equal(model.feature_cov, [[1.0, 0.05], [0.05, 1.0]])
+
+
 def test_mcconfig_validation():
     with pytest.raises(DomainError):
         McConfig(n_samples=0)
@@ -345,6 +353,26 @@ def test_compare_policies_dominance_and_consistency():
             2.0 / math.sqrt(q - q * q), rel=1e-12
         )
         assert report.rescale_std.std_error >= 0.0
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.1, 0.03, 0.01])
+def test_delta_sr_value_against_mpmath(kappa):
+    # at a weak signal sr_smm and sr_mp agree in most of their digits;
+    # the oracle takes their difference at 50 digits on the same s values
+    mpmath = pytest.importorskip("mpmath")
+    with open(os.path.join(SAMPLE_DIR, "lcem_model.json")) as fh:
+        data = json.load(fh)
+    data["B"] = (kappa * np.array(data["B"])).tolist()
+    model = LcemModel.from_dict(data)
+    n = BLOCK_SIZE
+    report = compare_policies(model, McConfig(n_samples=n, seed=7), 1.0)
+    with mpmath.workdps(50):
+        s = [mpmath.mpf(v) for v in s_block(model, 7, 0, n).tolist()]
+        a = mpmath.fsum(v / (1 + v) for v in s) / n
+        b = mpmath.fsum(s) / n
+        c = mpmath.fsum(v * v for v in s) / n
+        exact = mpmath.sqrt(a / (1 - a)) - b / mpmath.sqrt(b + c - b * b)
+        assert abs(report.delta_sr.value - exact) <= 1e-13 * abs(exact)
 
 
 def test_compare_policies_matches_estimate_q():

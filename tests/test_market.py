@@ -130,7 +130,11 @@ def test_q_of_is_kept_per_market():
     mats = np.where(merged.second_supplied[:, None, None], merged.second_moment, merged.sigma)
     fresh = DiscreteMarket.from_arrays(merged.probs, merged.mu, mats, merged.second_supplied)
     assert q_of(merged).hex() == q_of(fresh).hex()
-    assert delta_q == q_of(merged) - q_of(market) < 0.0
+    # delta_q is summed over the merged states alone, so it agrees with
+    # the difference of the two q only within their rounding
+    q_before, q_after = q_of(market), q_of(merged)
+    assert abs(delta_q - (q_after - q_before)) <= 4 * np.finfo(float).eps * q_before
+    assert delta_q < 0.0
 
 
 def test_q_of_failed_check_raises_on_every_call():
@@ -385,6 +389,52 @@ def test_merge_never_increases_q():
         subset = rng.choice(market.n_states, size=size, replace=False)
         _, delta_q = merge_states(market, subset)
         assert delta_q <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_merge_nearly_equal_states_delta_q_against_mpmath(eps):
+    # states 0 and 1 share sigma and their means differ by eps, so delta_q
+    # is about eps^2: far below the rounding of q over all 1,000 states
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    s, n = 1000, 3
+    probs = rng.uniform(0.2, 1.0, s)
+    probs /= probs.sum()
+    mu = 0.5 * rng.standard_normal((s, n))
+    g = rng.standard_normal((s, n, n))
+    sigma = g @ np.swapaxes(g, 1, 2) / n + 0.8 * np.eye(n)
+    sigma[1] = sigma[0]
+    mu[1] = mu[0] + eps * rng.standard_normal(n)
+    market = DiscreteMarket.from_arrays(probs, mu, sigma, np.zeros(s, dtype=bool))
+    _, delta_q = merge_states(market, [0, 1])
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(float(v)) for v in market.probs[:2]]
+        m = [mpmath.matrix(market.mu[i].tolist()) for i in range(2)]
+        a = [mpmath.matrix(market.second_moment[i].tolist()) for i in range(2)]
+        p_m = p[0] + p[1]
+        m_m = (p[0] * m[0] + p[1] * m[1]) / p_m
+        a_m = (p[0] * a[0] + p[1] * a[1]) / p_m
+        exact = p_m * (m_m.T * mpmath.lu_solve(a_m, m_m))[0] - sum(
+            p[i] * (m[i].T * mpmath.lu_solve(a[i], m[i]))[0] for i in range(2)
+        )
+        # x_s - x_m is of size eps: the rounding of x grows by 1 / eps
+        assert abs(delta_q - exact) <= 100 * np.finfo(float).eps / eps * abs(exact)
+
+
+@pytest.mark.parametrize("objective, message", [
+    (SharpeBudget(risk_budget=1.0), "zero risk"),
+    (MeanVariance(risk_param=1.0), "zero variance"),
+    (Kelly(), "zero second moment"),
+])
+def test_markowitz_policy_zero_mean_market_is_degenerate(objective, message):
+    market = DiscreteMarket([(1.0, MomentPair.from_covariance([0.0, 0.0], np.eye(2)))])
+    with pytest.raises(DegenerateMarket, match=message):
+        markowitz_policy(market, objective)
+
+
+def test_policy_needs_a_state():
+    with pytest.raises(DomainError, match="weights: needs at least one state"):
+        Policy([])
 
 
 def test_merge_subset_validation(two_state_market):

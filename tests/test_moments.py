@@ -241,6 +241,11 @@ def test_optimal_objective_values():
     )
 
 
+def test_optimal_objective_value_rejects_q_of_one():
+    with pytest.raises(DomainError, match=r"q must lie in \[0, 1\), got 1\.0"):
+        optimal_objective_value(1.0, Kelly())
+
+
 def test_sharpe_objective_increasing_in_q():
     qs = np.linspace(0.0, 0.99, 60)
     vals = [optimal_objective_value(q, SharpeBudget()) for q in qs]
