@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-lcem", help="Monte Carlo policy comparison")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--n", type=int, required=True, help="number of samples")
+    p.add_argument("--n", type=int, required=True, help="number of samples, at least 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--risk-budget", type=float, default=1.0)
     p.add_argument("--n-streams", type=int, default=1,

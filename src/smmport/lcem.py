@@ -138,7 +138,9 @@ def _psd_factor(cov: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, seed, and thread cap (``n_streams``) for a Monte Carlo run."""
+    """Sample count, seed, and thread cap (``n_streams``) for a Monte Carlo
+    run. Every estimate carries a standard error, so a run needs at least
+    two samples."""
 
     n_samples: int
     seed: int = 0
@@ -148,8 +150,8 @@ class McConfig:
         for name in ("n_samples", "seed", "n_streams"):
             if not _is_integer(getattr(self, name)):
                 raise DomainError(f"{name} must be an integer")
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be at least 1")
+        if self.n_samples < 2:
+            raise DomainError("n_samples must be at least 2")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         if self.n_streams < 1:
@@ -347,8 +349,6 @@ def _collect_sums(model: LcemModel, cfg: McConfig):
 
 def _mean_estimate(sum1: float, sum2: float, n: int) -> McEstimate:
     mean = sum1 / n
-    if n < 2:
-        return McEstimate(value=mean, std_error=0.0, n=n)
     var = max(sum2 - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(value=mean, std_error=math.sqrt(var / n), n=n)
 
@@ -396,19 +396,17 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     if not math.isfinite(s4):
         raise DegenerateMarket("signal too strong: the sum of s**4 overflows")
 
-    if n < 2:
-        cov = np.zeros((3, 3))
-    else:
-        cov = np.array([
-            [a2 - n * a_bar**2, as1 - n * a_bar * b_bar, as2 - n * a_bar * c_bar],
-            [as1 - n * a_bar * b_bar, s2 - n * b_bar**2, s3 - n * b_bar * c_bar],
-            [as2 - n * a_bar * c_bar, s3 - n * b_bar * c_bar, s4 - n * c_bar**2],
-        ]) / (n - 1)
+    a_sq = a_bar * a_bar
+    cov = np.array([
+        [a2 - n * a_sq, as1 - n * a_bar * b_bar, as2 - n * a_bar * c_bar],
+        [as1 - n * a_bar * b_bar, s2 - n * (b_bar * b_bar), s3 - n * b_bar * c_bar],
+        [as2 - n * a_bar * c_bar, s3 - n * b_bar * c_bar, s4 - n * (c_bar * c_bar)],
+    ]) / (n - 1)
 
     q_est = _mean_estimate(a1, a2, n)
 
     sr_smm_val = math.sqrt(a_bar / (1.0 - a_bar))
-    d_smm = 1.0 / (2.0 * math.sqrt(a_bar) * (1.0 - a_bar) ** 1.5)
+    d_smm = 1.0 / (2.0 * math.sqrt(a_bar) * ((1.0 - a_bar) * math.sqrt(1.0 - a_bar)))
     sr_smm = McEstimate(
         value=sr_smm_val,
         std_error=d_smm * math.sqrt(max(cov[0, 0], 0.0) / n),
@@ -417,10 +415,10 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
 
     # Covariance policy: unit direction has mean b_bar, second moment
     # b_bar + c_bar, hence variance v below.
-    v = b_bar + c_bar - b_bar**2
+    v = b_bar + c_bar - b_bar * b_bar
     sr_mp_val = b_bar / math.sqrt(v)
     d_b = (1.0 - b_bar * (1.0 - 2.0 * b_bar) / (2.0 * v)) / math.sqrt(v)
-    d_c = -b_bar / (2.0 * v**1.5)
+    d_c = -b_bar / (2.0 * (v * math.sqrt(v)))
     grad_mp = np.array([0.0, d_b, d_c])
     sr_mp = McEstimate(
         value=sr_mp_val,
@@ -441,9 +439,9 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     # std of the down-levering factor 1/(1+s) = 1 - a equals the std of a.
     m2 = max(cov[0, 0], 0.0)
     rescale_val = math.sqrt(m2)
-    if m2 > 0.0 and n >= 2:
-        m4 = (a4 - 4 * a_bar * a3 + 6 * a_bar**2 * a2
-              - 4 * a_bar**3 * a1 + n * a_bar**4) / n
+    if m2 > 0.0:
+        m4 = (a4 - 4 * a_bar * a3 + 6 * a_sq * a2
+              - 4 * a_sq * a_bar * a1 + n * (a_sq * a_sq)) / n
         rescale_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n) / (2.0 * rescale_val)
     else:
         rescale_se = 0.0

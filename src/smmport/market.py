@@ -11,7 +11,8 @@ factor from one batched factorization. At construction the market also
 solves, once and batched over states, the per-state quantities that
 every operation reuses: ``smm_directions`` inv(A_s) mu_s,
 ``markowitz_directions`` inv(Sigma_s) mu_s, ``conditional_q``
-mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq`` mu_s' inv(Sigma_s) mu_s.
+mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq`` mu_s' inv(Sigma_s) mu_s,
+and sums them into q two ways, which must agree (:func:`q_of`).
 
 A policy assigns an asset-weight vector to every state, stored as one
 (S, n) array. Unconditional moments of a policy are probability-weighted
@@ -190,8 +191,8 @@ class DiscreteMarket:
     @classmethod
     def _from_stacks(cls, stacks: dict, asymmetry: np.ndarray) -> "DiscreteMarket":
         """The market of stacks that passed :func:`_state_stacks`: checks
-        the probabilities, warns, solves and locks. Every constructor ends
-        here."""
+        the probabilities, warns, solves, checks q (:func:`q_of`) and
+        locks. Every constructor ends here."""
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
@@ -204,10 +205,15 @@ class DiscreteMarket:
             y = _tri_solve(lower, stacks["mu"])
             stacks[direction] = _back_solve(lower, y)
             stacks[ratio] = np.einsum("si,si->s", y, y)
+        p = stacks["probs"]
+        q = _fsum_states(p * stacks["conditional_q"])
+        alt = 1.0 - _fsum_states(p / (1.0 + stacks["conditional_sharpe_sq"]))
+        if abs(q - alt) > Q_CONSISTENCY_TOL:
+            raise SmmError(f"internal: q formulas disagree ({q!r} vs {alt!r})")
         market = cls.__new__(cls)
         for name in _STACKS:
             setattr(market, name, _lock(stacks[name]))
-        market._states = market._q = None
+        market._states, market._q = None, q
         return market
 
     @property
@@ -361,22 +367,12 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
 def q_of(market: DiscreteMarket) -> float:
     """Squared unconditional Hansen ratio of the optimal policy.
 
-    Computed as sum_s p_s mu_s' inv(A_s) mu_s and cross-checked against
-    the rank-one-update form 1 - sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s);
-    disagreement beyond tolerance signals a numerically inconsistent
-    market and raises. The checked value is kept on the market, so later
-    calls return it; a market that fails the check keeps nothing and
-    raises on every call.
+    Computed as sum_s p_s mu_s' inv(A_s) mu_s when the market was built,
+    and checked there against the rank-one-update form
+    1 - sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s): a disagreement beyond
+    ``Q_CONSISTENCY_TOL`` signals a numerically inconsistent market, and
+    no such market is built.
     """
-    if market._q is None:
-        p = market.probs
-        direct = _fsum_states(p * market.conditional_q)
-        alt = 1.0 - _fsum_states(p / (1.0 + market.conditional_sharpe_sq))
-        if abs(direct - alt) > Q_CONSISTENCY_TOL:
-            raise SmmError(
-                f"internal: q formulas disagree ({direct!r} vs {alt!r})"
-            )
-        market._q = direct
     return market._q
 
 
@@ -458,7 +454,6 @@ def merge_states(
     for a, merged in zip(arrays, (p_merged, mu_acc / p_merged, a_acc / p_merged, True)):
         a[idx[0]] = merged
     new_market = DiscreteMarket.from_arrays(*arrays)
-    q_of(new_market), q_of(market)  # each raises if its q formulas disagree
     dx = market.smm_directions[idx] - new_market.smm_directions[idx[0]]
     y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
     return new_market, -_fsum_states(p * np.einsum("si,si->s", y, y))

@@ -326,6 +326,12 @@ def test_policy_second_moment_overflow(
     assert err == "error: the policy's second moment overflows: its weights are too large\n"
 
 
+def test_simulate_lcem_needs_two_samples(capsys, lcem_model_path):
+    rc, out, err = run_cli(capsys, "simulate-lcem", "--model", lcem_model_path, "--n", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: n_samples must be at least 2\n"
+
+
 def test_simulate_lcem_scale_overflow(capsys, lcem_model_path):
     rc, out, err = run_cli(capsys, "simulate-lcem", "--model", lcem_model_path,
                            "--n", "1000", "--risk-budget", "1e308")

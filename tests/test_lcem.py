@@ -77,6 +77,9 @@ def test_model_symmetrizes_feature_cov_with_a_warning():
 def test_mcconfig_validation():
     with pytest.raises(DomainError):
         McConfig(n_samples=0)
+    # one sample has no standard error
+    with pytest.raises(DomainError, match="^n_samples must be at least 2$"):
+        McConfig(n_samples=1)
     with pytest.raises(DomainError):
         McConfig(n_samples=10, seed=-1)
     with pytest.raises(DomainError):
@@ -156,6 +159,18 @@ def test_conditional_weights_scalar_case():
     model = LcemModel(B=[[1.0]], sigma=[[1.0]], feature_mean=[0.0],
                       feature_cov=[[1.0]])
     assert lcem_conditional_weights(model, [1.0], 1.0) == pytest.approx([0.5])
+
+
+def test_conditional_weights_reject_wrong_length_f():
+    model = small_model(k=3)
+    with pytest.raises(DomainError, match="^f must have length 3$"):
+        lcem_conditional_weights(model, [1.0, 2.0])
+
+
+def test_model_repr_and_estimate_to_dict():
+    assert repr(small_model(n=2, k=3)) == "LcemModel(n_assets=2, n_features=3)"
+    estimate = lcem.McEstimate(value=0.25, std_error=0.5, n=10)
+    assert estimate.to_dict() == {"value": 0.25, "std_error": 0.5, "n": 10}
 
 
 def test_conditional_weights_match_moment_pair():
@@ -287,10 +302,12 @@ def sample_model():
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-@pytest.mark.parametrize("n", [1, 17, BLOCK_SIZE, 2 * BLOCK_SIZE + 17, 150_000])
+@pytest.mark.parametrize("n", [17, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17,
+                               150_000])
 def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
     # one scratch through every block, as in a worker's run: a short last
-    # block reuses buffers sized for a full one
+    # block, one sample long at BLOCK_SIZE + 1, reuses buffers sized for a
+    # full one
     model, scratch = sample_model(), {}
     partials = []
     for b, (start, stop) in enumerate(block_bounds(n)):
@@ -335,6 +352,18 @@ def test_compare_policies_zero_signal():
     assert report.sr_mp.value == 0.0
     assert report.delta_sr.value == 0.0
     assert report.rescale_std.value == 0.0
+
+
+def test_compare_policies_zero_spread():
+    # s = 1 for every feature draw: a = 1/2 everywhere, so every sample
+    # variance, hence every standard error and rescale_std, is exactly 0
+    model = LcemModel(B=[[1.0]], sigma=[[1.0]], feature_mean=[1.0], feature_cov=[[0.0]])
+    report = compare_policies(model, McConfig(n_samples=1000, seed=3), 1.0)
+    assert report.q.value == 0.5
+    assert report.sr_smm.value == report.sr_mp.value == 1.0
+    assert report.delta_sr.value == 0.0 and report.rescale_std.value == 0.0
+    assert all(e.std_error == 0.0 for e in (report.q, report.sr_smm, report.sr_mp,
+                                            report.delta_sr, report.rescale_std))
 
 
 def test_compare_policies_dominance_and_consistency():

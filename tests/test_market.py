@@ -25,6 +25,7 @@ from smmport import (
     smm_direction,
     smm_policy,
 )
+from smmport.cli import main
 from smmport.moments import _lock
 from conftest import random_market, random_moment_pair, random_spd
 
@@ -137,13 +138,25 @@ def test_q_of_is_kept_per_market():
     assert delta_q < 0.0
 
 
-def test_q_of_failed_check_raises_on_every_call():
-    rng = np.random.default_rng(9)
-    market = random_market(rng, n_assets=3, n_states=40)
-    market.conditional_sharpe_sq = _lock(market.conditional_sharpe_sq * (1.0 + 1e-3))
-    for _ in range(2):
+def test_market_whose_q_formulas_disagree_is_never_built(monkeypatch, capsys,
+                                                         two_state_market_path):
+    market = random_market(np.random.default_rng(9), n_assets=3, n_states=40)
+    mats = np.where(market.second_supplied[:, None, None], market.second_moment, market.sigma)
+    # below zero, every pair of q formulas disagrees
+    monkeypatch.setattr("smmport.market.Q_CONSISTENCY_TOL", -1.0)
+    for build in (
+        lambda: DiscreteMarket.from_dict(market.to_dict()),
+        lambda: DiscreteMarket.from_arrays(market.probs, market.mu, mats,
+                                           market.second_supplied),
+        lambda: DiscreteMarket(market.states),
+        lambda: merge_states(market, [0, 3, 7]),
+    ):
         with pytest.raises(SmmError, match="q formulas disagree"):
-            q_of(market)
+            build()
+    assert main(["solve-discrete", "--market", two_state_market_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: internal: q formulas disagree (")
 
 
 def test_smm_policy_risk_saturation(two_state_market):
@@ -430,6 +443,22 @@ def test_markowitz_policy_zero_mean_market_is_degenerate(objective, message):
     market = DiscreteMarket([(1.0, MomentPair.from_covariance([0.0, 0.0], np.eye(2)))])
     with pytest.raises(DegenerateMarket, match=message):
         markowitz_policy(market, objective)
+
+
+def test_market_states_must_be_moment_pairs():
+    with pytest.raises(DomainError, match="^state 0: moments must be a MomentPair$"):
+        DiscreteMarket([(1.0, "x")])
+
+
+def test_market_and_policy_repr(two_state_market):
+    assert repr(two_state_market) == "DiscreteMarket(n_states=2, n_assets=2)"
+    policy = smm_policy(two_state_market, Kelly())
+    assert policy.n_states == 2 and repr(policy) == "Policy(n_states=2)"
+
+
+def test_markowitz_policy_unknown_objective(two_state_market):
+    with pytest.raises(DomainError, match="^unknown objective 'sharpe'$"):
+        markowitz_policy(two_state_market, "sharpe")
 
 
 def test_policy_needs_a_state():

@@ -175,6 +175,10 @@ def test_asymmetry_warns_and_symmetrizes():
         MomentPair.from_covariance([0.0, 0.0], np.eye(2))
 
 
+def test_moment_pair_repr():
+    assert repr(STATE_1) == "MomentPair(n=2, supplied='sigma')"
+
+
 def test_immutability():
     with pytest.raises(ValueError):
         STATE_1.mu[0] = 9.0
@@ -206,6 +210,12 @@ def test_scaling_constant_degenerate_and_domain():
     for bad_q in (-0.1, 1.0, 1.5):
         with pytest.raises(DomainError):
             scaling_constant(bad_q, Kelly())
+
+
+@pytest.mark.parametrize("solve", [scaling_constant, optimal_objective_value])
+def test_unknown_objective_rejected(solve):
+    with pytest.raises(DomainError, match="^unknown objective 'sharpe'$"):
+        solve(0.5, "sharpe")
 
 
 def test_objective_validation():

@@ -21,16 +21,6 @@ ALLOWED = collections.Counter({
     ("leverage.py", "silverman_bandwidth", "xs.size ** (-0.2)"): 1,
     # numpy squares element-wise with a multiply, not with pow
     ("moments.py", "_pivots_ok", "np.diagonal(lower, axis1=-2, axis2=-1) ** 2"): 1,
-    # these wait for the cancellation-free delta_sr standard error: replacing
-    # them moves its last digits, which tests/golden/simulate_lcem.json pins
-    # at rtol 1e-12
-    ("lcem.py", "compare_policies", "a_bar**2"): 2,
-    ("lcem.py", "compare_policies", "b_bar**2"): 2,
-    ("lcem.py", "compare_policies", "c_bar**2"): 1,
-    ("lcem.py", "compare_policies", "a_bar**3"): 1,
-    ("lcem.py", "compare_policies", "a_bar**4"): 1,
-    ("lcem.py", "compare_policies", "(1.0 - a_bar) ** 1.5"): 1,
-    ("lcem.py", "compare_policies", "v**1.5"): 1,
 })
 
 
