@@ -19,8 +19,8 @@ which reduces to a classical single-period problem on pseudo-assets.
 Per-state portfolio functions (a constraint's ``g`` and ``target``, the
 elements of a basis) are (S, n) arrays with one row per state. M, b and
 the basis Gram matrix come from batched solves and ``einsum`` against
-the market's stacked Cholesky factors, summed over states with
-``math.fsum`` as in :mod:`smmport.market`.
+the market's stacked Cholesky factors, summed over states exactly by
+``moments._fsum`` as in :mod:`smmport.market`.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .market import (
     DiscreteMarket,
     Policy,
     _EPS,
-    _fsum_states,
-    _fsum_symmetric,
     _per_state_vectors,
     evaluate,
     q_of,
@@ -57,10 +55,12 @@ from .moments import (
     PerfSummary,
     _as_array,
     _chol_solve,
+    _fsum,
+    _fsum_symmetric,
     _lock,
-    conditional_q,
+    _solve,
+    _sym,
     scaling_constant,
-    smm_direction,
 )
 
 # Reject constraint systems whose matrix M has condition estimate above this.
@@ -71,7 +71,7 @@ def inner_product(x, y, market: DiscreteMarket) -> float:
     """Probability-weighted inner product sum_s p_s x_s' y_s."""
     xv = _per_state_vectors(x, market, "x")
     yv = _per_state_vectors(y, market, "y")
-    return _fsum_states(market.probs * np.einsum("si,si->s", xv, yv))
+    return _fsum(market.probs * np.einsum("si,si->s", xv, yv))
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,9 @@ def solve_hedge(
     ], axis=-1)
     x = _chol_solve(market.chol_second, g)
     p = market.probs
-    m_mat = _fsum_states(p[:, None, None] * np.einsum("sni,snj->sij", g, x))
-    b_vec = -_fsum_states(p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions))
-    m_mat = (m_mat + m_mat.T) / 2.0
+    m_mat = _fsum(p[:, None, None] * np.einsum("sni,snj->sij", g, x))
+    b_vec = -_fsum(p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions))
+    m_mat = _sym(m_mat)
 
     if not np.all(np.isfinite(m_mat)) or np.linalg.cond(m_mat) > CONDITION_LIMIT:
         raise SingularConstraintSystem(
@@ -246,16 +246,15 @@ def optimize_basis(
     y = np.einsum("sji,sjk->sik", market.chol_second, f)
     # y_k . y_l and y_l . y_k are the same products summed in the same order
     gram = _fsum_symmetric(p[:, None, None] * np.einsum("sik,sil->skl", y, y))
-    mu_tilde = _fsum_states(p[:, None] * np.einsum("sik,si->sk", f, market.mu))
+    mu_tilde = _fsum(p[:, None] * np.einsum("sik,si->sk", f, market.mu))
 
     try:
         pseudo = MomentPair.from_second_moment(mu_tilde, gram)
     except NotPositiveDefinite as exc:
         raise SingularBasis(f"basis Gram matrix is singular: {exc}") from None
-    q_tilde = conditional_q(pseudo)
-    coeff = scaling_constant(q_tilde, objective) * smm_direction(pseudo)
-    summary = evaluate(market, Policy(f @ coeff))
-    return coeff, summary
+    direction, q_tilde = _solve(pseudo.chol_second, pseudo.mu)
+    coeff = scaling_constant(q_tilde, objective) * direction
+    return coeff, evaluate(market, Policy(f @ coeff))
 
 
 def flatten_pseudo_assets(returns, features) -> np.ndarray:

@@ -47,12 +47,16 @@ from .moments import (
     MomentPair,
     SharpeBudget,
     _as_array,
-    _back_solve,
+    _asymmetry,
     _finite_scale,
+    _fsum,
     _is_integer,
     _lock,
-    _symmetrize,
+    _solve,
+    _sym,
     _tri_solve,
+    _warn_asymmetric,
+    scaling_constant,
 )
 
 BLOCK_SIZE = 1 << 16
@@ -82,7 +86,8 @@ class LcemModel:
         fcov = _as_array(feature_cov, "feature_cov", 2)
         if fcov.shape != (k, k):
             raise DomainError(f"feature_cov must be {k}x{k}, got {fcov.shape}")
-        fcov = _symmetrize(fcov, "feature_cov")
+        _warn_asymmetric("feature_cov", float(_asymmetry(fcov)))
+        fcov = _sym(fcov)
 
         chol = self.chol_sigma = residual.chol_sigma
         factor = _psd_factor(fcov, "feature_cov")
@@ -203,10 +208,8 @@ def lcem_conditional_weights(model: LcemModel, f, scale: float = 1.0) -> np.ndar
     fv = _as_array(f, "f", 1)
     if fv.size != model.n_features:
         raise DomainError(f"f must have length {model.n_features}")
-    signal = model.B @ fv
-    y = _tri_solve(model.chol_sigma, signal)
-    s = float(y @ y)
-    return (float(scale) / (1.0 + s)) * _back_solve(model.chol_sigma, y)
+    direction, s = _solve(model.chol_sigma, model.B @ fv)
+    return (float(scale) / (1.0 + float(s))) * direction
 
 
 def block_bounds(n_samples: int) -> list[tuple[int, int]]:
@@ -309,15 +312,6 @@ def _block_sums(model: LcemModel, seed: int, block_index: int, count: int,
         )
 
 
-def _fsum(partials) -> float:
-    """Exact sum of nonnegative per-block partials, inf past the float
-    maximum (math.fsum raises OverflowError there)."""
-    try:
-        return math.fsum(partials)
-    except OverflowError:
-        return math.inf
-
-
 def _collect_sums(model: LcemModel, cfg: McConfig):
     """Accumulate the statistic sums over all blocks.
 
@@ -344,7 +338,7 @@ def _collect_sums(model: LcemModel, cfg: McConfig):
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = [p for chunk in pool.map(run, range(workers)) for p in chunk]
-    return tuple(_fsum(c) for c in zip(*partials))
+    return tuple(_fsum(np.array(partials)).tolist())
 
 
 def _mean_estimate(sum1: float, sum2: float, n: int) -> McEstimate:
@@ -375,7 +369,6 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     returns.
     """
     budget = SharpeBudget(risk_budget=float(risk_budget))
-    risk_budget = budget.risk_budget
     sums = _collect_sums(model, cfg)
     n = cfg.n_samples
     a1, a2, a3, a4, s1, s2, s3, s4, as1, as2 = sums
@@ -447,8 +440,8 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
         rescale_se = 0.0
     rescale = McEstimate(value=rescale_val, std_error=rescale_se, n=n)
 
-    smm_scale = _finite_scale(risk_budget / math.sqrt(a_bar * (1.0 - a_bar)), budget)
-    mp_scale = _finite_scale(risk_budget / math.sqrt(v), budget)
+    smm_scale = scaling_constant(a_bar, budget)
+    mp_scale = _finite_scale(budget.risk_budget / math.sqrt(v), budget)
     return LcemComparison(
         q=q_est, sr_smm=sr_smm, sr_mp=sr_mp, delta_sr=delta,
         rescale_std=rescale, smm_scale=smm_scale, mp_scale=mp_scale,

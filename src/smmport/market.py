@@ -16,16 +16,15 @@ and sums them into q two ways, which must agree (:func:`q_of`).
 
 A policy assigns an asset-weight vector to every state, stored as one
 (S, n) array. Unconditional moments of a policy are probability-weighted
-sums of per-state terms. Every sum across states is ``math.fsum`` of the
-terms, so it is correctly rounded and does not depend on the order of
-the states or on BLAS threading.
+sums of per-state terms. Every sum across states is ``moments._fsum``:
+correctly rounded, independent of the order of the states and of BLAS
+threading, and inf past the float maximum, never an overflow error.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from typing import Iterable
 
 import numpy as np
@@ -44,12 +43,14 @@ from .moments import (
     Objective,
     PerfSummary,
     SharpeBudget,
-    _back_solve,
     _finite_scale,
     _floats,
+    _fsum,
+    _fsum_symmetric,
     _lock,
     _pair_stacks,
-    _tri_solve,
+    _solve,
+    _warn_asymmetric,
     scaling_constant,
 )
 
@@ -67,24 +68,6 @@ _STACKS = (
 )
 
 
-def _fsum_states(terms: np.ndarray):
-    """Correctly rounded sum of ``terms`` over its leading (state) axis."""
-    if terms.ndim == 1:
-        return math.fsum(terms.tolist())
-    columns = terms.reshape(terms.shape[0], -1).T.tolist()
-    return np.array([math.fsum(c) for c in columns]).reshape(terms.shape[1:])
-
-
-def _fsum_symmetric(terms: np.ndarray) -> np.ndarray:
-    """:func:`_fsum_states` of a (S, k, k) stack whose every matrix is
-    exactly symmetric: sums the upper triangle only and mirrors it."""
-    k = terms.shape[-1]
-    rows, cols = np.triu_indices(k)
-    out = np.empty((k, k))
-    out[rows, cols] = out[cols, rows] = _fsum_states(terms[:, rows, cols])
-    return out
-
-
 def _check_probs(probs: np.ndarray) -> None:
     bad = ~((probs > 0.0) & (probs <= 1.0 + PROB_SUM_TOL))
     if bad.any():
@@ -92,7 +75,7 @@ def _check_probs(probs: np.ndarray) -> None:
         raise DomainError(f"state {i}: probability {float(probs[i])} outside (0, 1]")
     # fsum rounds once; the S * eps allowance covers probabilities
     # normalized by a naively accumulated total.
-    total = math.fsum(probs.tolist())
+    total = _fsum(probs)
     if abs(total - 1.0) > max(PROB_SUM_TOL, probs.size * _EPS):
         raise DomainError(f"state probabilities sum to {total!r}, not 1")
 
@@ -196,18 +179,13 @@ class DiscreteMarket:
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
-            warnings.warn(f"state {i}: {name} deviates from symmetry by "
-                          f"{asymmetry[i]:.3e}; symmetrizing", stacklevel=3)
-        for direction, ratio, lower in (
-            ("markowitz_directions", "conditional_sharpe_sq", stacks["chol_sigma"]),
-            ("smm_directions", "conditional_q", stacks["chol_second"]),
-        ):
-            y = _tri_solve(lower, stacks["mu"])
-            stacks[direction] = _back_solve(lower, y)
-            stacks[ratio] = np.einsum("si,si->s", y, y)
+            _warn_asymmetric(f"state {i}: {name}", asymmetry[i])
+        mu, chol_sigma, chol_second = stacks["mu"], stacks["chol_sigma"], stacks["chol_second"]
+        stacks["markowitz_directions"], stacks["conditional_sharpe_sq"] = _solve(chol_sigma, mu)
+        stacks["smm_directions"], stacks["conditional_q"] = _solve(chol_second, mu)
         p = stacks["probs"]
-        q = _fsum_states(p * stacks["conditional_q"])
-        alt = 1.0 - _fsum_states(p / (1.0 + stacks["conditional_sharpe_sq"]))
+        q = _fsum(p * stacks["conditional_q"])
+        alt = 1.0 - _fsum(p / (1.0 + stacks["conditional_sharpe_sq"]))
         if abs(q - alt) > Q_CONSISTENCY_TOL:
             raise SmmError(f"internal: q formulas disagree ({q!r} vs {alt!r})")
         market = cls.__new__(cls)
@@ -356,11 +334,11 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     """
     w = _per_state_vectors(policy, market, "policy")
     y = np.einsum("sji,sj->si", market.chol_second, w)
-    second = _fsum_states(market.probs * np.einsum("si,si->s", y, y))
+    second = _fsum(market.probs * np.einsum("si,si->s", y, y))
     if not math.isfinite(second):
         raise DomainError("the policy's second moment overflows: its weights are too large")
     # |mu_s' w_s| <= sqrt(w_s' A_s w_s), so the mean is finite too
-    mean = _fsum_states(market.probs * np.einsum("si,si->s", market.mu, w))
+    mean = _fsum(market.probs * np.einsum("si,si->s", market.mu, w))
     return PerfSummary(mean=mean, second_moment=second, rfr=float(rfr))
 
 
@@ -392,8 +370,8 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
     """
     z = market.conditional_sharpe_sq
     summary = PerfSummary(
-        mean=_fsum_states(market.probs * z),
-        second_moment=_fsum_states(market.probs * z * (1.0 + z)),
+        mean=_fsum(market.probs * z),
+        second_moment=_fsum(market.probs * z * (1.0 + z)),
     )
     if isinstance(objective, SharpeBudget):
         if summary.risk == 0.0:
@@ -445,8 +423,8 @@ def merge_states(
             f"subset {idx} out of range for {market.n_states} states"
         )
     p = market.probs[idx]
-    p_merged = 1.0 if len(idx) == market.n_states else math.fsum(p.tolist())
-    mu_acc = _fsum_states(p[:, None] * market.mu[idx])
+    p_merged = 1.0 if len(idx) == market.n_states else _fsum(p)
+    mu_acc = _fsum(p[:, None] * market.mu[idx])
     a_acc = _fsum_symmetric(p[:, None, None] * market.second_moment[idx])
     given = market.second_supplied
     mats = np.where(given[:, None, None], market.second_moment, market.sigma)
@@ -456,4 +434,4 @@ def merge_states(
     new_market = DiscreteMarket.from_arrays(*arrays)
     dx = market.smm_directions[idx] - new_market.smm_directions[idx[0]]
     y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
-    return new_market, -_fsum_states(p * np.einsum("si,si->s", y, y))
+    return new_market, -_fsum(p * np.einsum("si,si->s", y, y))

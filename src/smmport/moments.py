@@ -17,13 +17,16 @@ which gives None for text and for what numpy cannot read as real
 numbers; ``_as_array`` adds the finite, axis and emptiness checks,
 naming the argument that fails.
 Every moment pair is validated by one batched check, ``_pair_stacks``:
-finite inputs, symmetrization, and a Cholesky factorization of both
-Sigma and A whose smallest pivot must pass ``PIVOT_RTOL``. A
+finite inputs, symmetrization, a finite Sigma and A, and a Cholesky
+factorization of both whose smallest pivot must pass ``PIVOT_RTOL``. A
 ``MomentPair`` runs it on a stack of one; a market runs it on all of its
 states at once (see :mod:`smmport.market`). Every later solve against
 those factors is a triangular substitution, forward (``_tri_solve``),
 back (``_back_solve``) or both (``_chol_solve``), each vectorized over a
-stack of factors and over the right-hand sides.
+stack of factors and over the right-hand sides. Each step the modules
+share has one implementation here: ``_fsum`` every exact sum, ``_sym``
+every symmetrization, ``_warn_asymmetric`` every asymmetry warning, and
+``_solve`` every direction inv(A) mu with its ratio mu' inv(A) mu.
 
 All types are immutable after construction and all functions are pure.
 """
@@ -31,6 +34,7 @@ All types are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -81,22 +85,32 @@ def _asymmetry(mat: np.ndarray) -> np.ndarray:
     return np.where(asym > ASYMMETRY_WARN * scale, asym, 0.0)
 
 
-def _symmetrize(mat: np.ndarray, name: str) -> np.ndarray:
-    asym = float(_asymmetry(mat)) if mat.size else 0.0
-    if asym:
-        warnings.warn(
-            f"{name} deviates from symmetry by {asym:.3e}; symmetrizing",
-            stacklevel=3,
-        )
-    return (mat + mat.T) / 2.0
+def _sym(mat: np.ndarray) -> np.ndarray:
+    """(M + M')/2 per matrix of a stack as M/2 + (M/2)', which cannot
+    overflow: the bits of (M + M')/2 wherever that is finite and each entry
+    is 0 or at least 2**-1021 in magnitude; below, halving first can round."""
+    half = 0.5 * mat
+    return half + np.swapaxes(half, -1, -2)
+
+
+def _warn_asymmetric(name: str, asymmetry: float) -> None:
+    """Unless ``asymmetry`` is 0, warn that ``name`` deviates from symmetry
+    by it and is symmetrized, from the first frame outside this package."""
+    if not asymmetry:
+        return
+    frame, level = sys._getframe(1), 2
+    while frame and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(f"{name} deviates from symmetry by {asymmetry:.3e}; symmetrizing",
+                  stacklevel=level)
 
 
 def _pivots_ok(lower: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: is the smallest squared Cholesky pivot at
-    least ``PIVOT_RTOL`` times the largest diagonal entry?"""
+    """Per matrix of a stack: is the smallest squared Cholesky pivot (not
+    NaN) at least ``PIVOT_RTOL`` times the largest diagonal entry?"""
     pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
     diag = np.diagonal(mat, axis1=-2, axis2=-1)
-    return ~(np.min(pivots, axis=-1) < PIVOT_RTOL * np.max(diag, axis=-1))
+    return np.min(pivots, axis=-1) >= PIVOT_RTOL * np.max(diag, axis=-1)
 
 
 def _columns(lower: np.ndarray, b) -> tuple[np.ndarray, bool]:
@@ -140,6 +154,40 @@ def _chol_solve(lower: np.ndarray, b) -> np.ndarray:
     return _back_solve(lower, _tri_solve(lower, b))
 
 
+def _solve(lower: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inv(L L') mu and mu' inv(L L') mu = ||inv(L) mu||^2 for one factor or
+    a stack, the ratio by one ``einsum`` either way (0-d for one factor), so
+    a stack and each of its members agree bit for bit."""
+    y = _tri_solve(lower, mu)
+    return _back_solve(lower, y), np.einsum("...i,...i->...", y, y)
+
+
+def _fsum(terms: np.ndarray):
+    """Correctly rounded sum of ``terms`` over its leading axis, a float for
+    a vector. Where a partial sum in ``math.fsum`` overflows, the column is
+    summed scaled down by a power of two above twice its length and scaled
+    back: exact but for terms turned subnormal, +/-inf only past the maximum."""
+    sums = []
+    for column in terms.reshape(terms.shape[0], -1).T.tolist():
+        try:
+            sums.append(math.fsum(column))
+        except OverflowError:
+            scale = math.ldexp(1.0, len(column).bit_length() + 1)
+            sums.append(math.fsum([v / scale for v in column]) * scale)
+    sums = np.array(sums).reshape(terms.shape[1:])
+    return sums if sums.ndim else float(sums)
+
+
+def _fsum_symmetric(terms: np.ndarray) -> np.ndarray:
+    """:func:`_fsum` of a (S, k, k) stack whose every matrix is exactly
+    symmetric: sums the upper triangle only and mirrors it."""
+    k = terms.shape[-1]
+    rows, cols = np.triu_indices(k)
+    out = np.empty((k, k))
+    out[rows, cols] = out[cols, rows] = _fsum(terms[:, rows, cols])
+    return out
+
+
 def _is_integer(x) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -157,8 +205,8 @@ def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
     ``mu`` is (S, n) and ``mats`` (S, n, n): a state's second moment where
     ``second_supplied`` is set, else its covariance; callers check these
     shapes. The checks run in order over the whole stack: finite ``mu``,
-    finite ``mats``, then a Cholesky factorization of every covariance
-    and then of every second moment, each with the ``PIVOT_RTOL`` pivot
+    finite ``mats``, then every covariance finite (mu mu' can overflow) and
+    factorized, then every second moment, each with the ``PIVOT_RTOL`` pivot
     test. The first failing check raises its error (:class:`DomainError`
     or :class:`NotPositiveDefinite`) without naming a state.
 
@@ -172,23 +220,24 @@ def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
     if not finite.all():
         name = "second_moment" if second_supplied[np.argmin(finite)] else "sigma"
         raise DomainError(f"{name} has non-finite entries")
-    sym = (mats + np.swapaxes(mats, -1, -2)) / 2.0
-    outer = mu[:, :, None] * mu[:, None, :]
+    sym = _sym(mats)
     given = second_supplied[:, None, None]
-    stacks = {
-        "mu": mu, "sigma": np.where(given, sym - outer, sym),
-        "second_moment": np.where(given, sym, sym + outer),
-        "second_supplied": second_supplied,
-    }
+    with np.errstate(over="ignore"):
+        outer = mu[:, :, None] * mu[:, None, :]
+        stacks = {
+            "mu": mu, "sigma": np.where(given, sym - outer, sym),
+            "second_moment": np.where(given, sym, sym + outer),
+            "second_supplied": second_supplied,
+        }
     for name, chol in (("sigma", "chol_sigma"), ("second_moment", "chol_second")):
+        if not np.isfinite(stacks[name]).all():
+            raise DomainError(f"{name} overflows: mu is too large")
         try:
             stacks[chol] = np.linalg.cholesky(stacks[name])
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite(f"{name} is not positive definite") from None
         if not _pivots_ok(stacks[chol], stacks[name]).all():
-            raise NotPositiveDefinite(
-                f"{name} is numerically singular (pivot below tolerance)"
-            )
+            raise NotPositiveDefinite(f"{name} is numerically singular (pivot below tolerance)")
     return stacks, _asymmetry(mats)
 
 
@@ -213,29 +262,20 @@ class MomentPair:
         if mat is None or mat.shape != (mu.size, mu.size):
             got = "a value not readable as floats" if mat is None else mat.shape
             raise DomainError(f"{supplied} must be {mu.size}x{mu.size}, got {got}")
-        stacks, asymmetry = _pair_stacks(
-            mu[None], mat[None], np.array([supplied == "second_moment"])
-        )
-        if asymmetry[0]:
-            warnings.warn(
-                f"{supplied} deviates from symmetry by {asymmetry[0]:.3e}; symmetrizing",
-                stacklevel=2,
-            )
+        given = np.array([supplied == "second_moment"])
+        stacks, asymmetry = _pair_stacks(mu[None], mat[None], given)
+        _warn_asymmetric(supplied, asymmetry[0])
         self.supplied = supplied
         for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second"):
             setattr(self, name, _lock(stacks[name][0]))
 
     @classmethod
-    def _from_parts(cls, mu, sigma, second_moment, supplied,
-                    chol_sigma, chol_second) -> "MomentPair":
-        """Wrap already validated, read-only arrays without copying them."""
+    def _from_parts(cls, *parts) -> "MomentPair":
+        """Wrap already validated, read-only arrays, given in ``__slots__``
+        order, without copying them."""
         pair = object.__new__(cls)
-        pair.mu = mu
-        pair.sigma = sigma
-        pair.second_moment = second_moment
-        pair.supplied = supplied
-        pair.chol_sigma = chol_sigma
-        pair.chol_second = chol_second
+        for name, part in zip(cls.__slots__, parts):
+            setattr(pair, name, part)
         return pair
 
     @classmethod
@@ -256,7 +296,7 @@ class MomentPair:
 
 def markowitz_direction(pair: MomentPair) -> np.ndarray:
     """Covariance-inverse direction inv(Sigma) mu."""
-    return _chol_solve(pair.chol_sigma, pair.mu)
+    return _solve(pair.chol_sigma, pair.mu)[0]
 
 
 def smm_direction(pair: MomentPair) -> np.ndarray:
@@ -264,20 +304,18 @@ def smm_direction(pair: MomentPair) -> np.ndarray:
 
     Equals ``markowitz_direction`` divided by 1 + mu' inv(Sigma) mu.
     """
-    return _chol_solve(pair.chol_second, pair.mu)
+    return _solve(pair.chol_second, pair.mu)[0]
 
 
 def conditional_sharpe_sq(pair: MomentPair) -> float:
     """Squared conditional Sharpe of the locally optimal allocation,
     mu' inv(Sigma) mu."""
-    y = _tri_solve(pair.chol_sigma, pair.mu)
-    return float(y @ y)
+    return float(_solve(pair.chol_sigma, pair.mu)[1])
 
 
 def conditional_q(pair: MomentPair) -> float:
     """Squared conditional Hansen ratio mu' inv(A) mu, in [0, 1)."""
-    y = _tri_solve(pair.chol_second, pair.mu)
-    return float(y @ y)
+    return float(_solve(pair.chol_second, pair.mu)[1])
 
 
 def tas(hansen: float) -> float:

@@ -31,6 +31,7 @@ from smmport import (
     solve_hedge,
 )
 import smmport.market
+import smmport.moments
 from smmport.moments import PIVOT_RTOL
 from conftest import random_spd
 
@@ -523,6 +524,6 @@ def test_fsum_symmetric_matches_full_sum(s, n):
     rng = np.random.default_rng(1000 * s + n)
     half = rng.standard_normal((s, n, n)) * 10.0 ** rng.integers(-30, 30, (s, n, n))
     terms = half + np.swapaxes(half, 1, 2)
-    got = smmport.market._fsum_symmetric(terms)
+    got = smmport.moments._fsum_symmetric(terms)
     assert np.array_equal(got, got.T)
-    assert got.tobytes() == smmport.market._fsum_states(terms).tobytes()
+    assert got.tobytes() == smmport.moments._fsum(terms).tobytes()
