@@ -67,11 +67,28 @@ from .moments import (
 CONDITION_LIMIT = 1e12
 
 
+def _check_terms(name: str, *stacks: np.ndarray) -> None:
+    """Raise DomainError naming the first ``name`` whose per-state terms
+    overflow: element k owns index k of axis 1 of each (S, K, ...) stack.
+    ``_fsum`` cannot sum +inf and -inf, and a sum with one is no answer."""
+    bad = np.zeros(stacks[0].shape[1], dtype=bool)
+    for terms in stacks:
+        bad |= ~np.isfinite(terms).reshape(terms.shape[:2] + (-1,)).all(axis=(0, 2))
+    if bad.any():
+        raise DomainError(f"{name} {int(np.argmax(bad))} overflows: its products "
+                          "with the market are too large")
+
+
 def inner_product(x, y, market: DiscreteMarket) -> float:
-    """Probability-weighted inner product sum_s p_s x_s' y_s."""
+    """Probability-weighted inner product sum_s p_s x_s' y_s; a per-state
+    product that overflows raises :class:`DomainError`."""
     xv = _per_state_vectors(x, market, "x")
     yv = _per_state_vectors(y, market, "y")
-    return _fsum(market.probs * np.einsum("si,si->s", xv, yv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = market.probs * np.einsum("si,si->s", xv, yv)
+    if not np.isfinite(terms).all():
+        raise DomainError("x times y overflows")
+    return _fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -96,11 +113,19 @@ class HedgeConstraint:
         """Constraint forcing zero return covariance against ``target``.
 
         With c = <target, mu>, the constraint function is
-        g_s = A_s w_s - c mu_s for target weights w.
+        g_s = A_s w_s - c mu_s for target weights w. A c or g that
+        overflows raises :class:`DomainError` naming the target.
         """
         w = _per_state_vectors(target, market, "target")
-        wm = inner_product(w, market.mu, market)
-        g = np.einsum("sij,sj->si", market.second_moment, w) - wm * market.mu
+        overflow = DomainError("target overflows: its products with the market are too large")
+        try:
+            wm = inner_product(w, market.mu, market)
+        except DomainError:
+            raise overflow from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.einsum("sij,sj->si", market.second_moment, w) - wm * market.mu
+        if not np.isfinite(g).all():
+            raise overflow
         return cls(g=_lock(g), kind="zero_covariance", target=w)
 
 
@@ -144,6 +169,8 @@ def solve_hedge(
 
     Raises
     ------
+    DomainError
+        If a constraint's per-state products with the market overflow.
     SingularConstraintSystem
         If the constraints are linearly dependent under the inv(A) inner
         product (condition estimate of M above 1e12).
@@ -169,11 +196,14 @@ def solve_hedge(
         _per_state_vectors(con.g, market, f"constraint {j}")
         for j, con in enumerate(constraints)
     ], axis=-1)
-    x = _chol_solve(market.chol_second, g)
     p = market.probs
-    m_mat = _fsum(p[:, None, None] * np.einsum("sni,snj->sij", g, x))
-    b_vec = -_fsum(p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions))
-    m_mat = _sym(m_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _chol_solve(market.chol_second, g)
+        m_terms = p[:, None, None] * np.einsum("sni,snj->sij", g, x)
+        b_terms = p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions)
+    _check_terms("constraint", m_terms, b_terms)
+    m_mat = _sym(_fsum(m_terms))
+    b_vec = -_fsum(b_terms)
 
     if not np.all(np.isfinite(m_mat)) or np.linalg.cond(m_mat) > CONDITION_LIMIT:
         raise SingularConstraintSystem(
@@ -234,7 +264,8 @@ def optimize_basis(
     solved by the same second-moment machinery as everything else.
 
     Returns the coefficient vector and the performance of the resulting
-    policy on ``market``.
+    policy on ``market``. A basis element whose per-state products with
+    the market overflow raises :class:`DomainError`.
     """
     if not basis:
         raise DomainError("basis must be nonempty")
@@ -243,10 +274,14 @@ def optimize_basis(
         _per_state_vectors(bf, market, f"basis {i}") for i, bf in enumerate(basis)
     ], axis=-1)
     p = market.probs
-    y = np.einsum("sji,sjk->sik", market.chol_second, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.einsum("sji,sjk->sik", market.chol_second, f)
+        gram_terms = p[:, None, None] * np.einsum("sik,sil->skl", y, y)
+        mu_terms = p[:, None] * np.einsum("sik,si->sk", f, market.mu)
+    _check_terms("basis", gram_terms, mu_terms)
     # y_k . y_l and y_l . y_k are the same products summed in the same order
-    gram = _fsum_symmetric(p[:, None, None] * np.einsum("sik,sil->skl", y, y))
-    mu_tilde = _fsum(p[:, None] * np.einsum("sik,si->sk", f, market.mu))
+    gram = _fsum_symmetric(gram_terms)
+    mu_tilde = _fsum(mu_terms)
 
     try:
         pseudo = MomentPair.from_second_moment(mu_tilde, gram)

@@ -65,21 +65,30 @@ def nw_sums(xs, ys, grid, bandwidth):
 
     The T x G weights are formed a block of rows at a time in one
     scratch buffer of at most max(2**16, G) floats (512 KB when
-    G <= 2**16), and each block's mass is taken as a product with one
-    ones vector of block length, so memory beyond the inputs and outputs
-    stays bounded whatever T is.
+    G <= 2**16). A block's differences are one rank-2 product of a
+    (rows, 2) buffer of rows [1, -xs[t]] and the (2, G) array
+    [grid; ones]. Each product in it is by 1, so every entry is one
+    rounding of grid[j] - xs[t] whatever the BLAS kernel, summation
+    order or FMA use: a subtraction's value (a zero's sign may differ,
+    and squaring drops it), so the weights have a subtraction's bits.
+    Each block's mass is taken as a product with one ones vector of
+    block length, so memory beyond the inputs and outputs stays bounded
+    whatever T is.
     """
     n_samples, n_grid = xs.size, grid.size
     rows = max(1, _CHUNK_ELEMS // max(n_grid, 1))
     scale = min(math.sqrt(0.5) / bandwidth, sys.float_info.max)
     scratch = np.empty((min(rows, n_samples), n_grid))
     ones = np.ones(min(rows, n_samples))
+    left = np.ones((min(rows, n_samples), 2))
+    right = np.stack([grid, np.ones(n_grid)])
     den = np.zeros(n_grid)
     num = np.zeros((ys.shape[0], n_grid))
     for lo in range(0, n_samples, rows):
         hi = min(lo + rows, n_samples)
         w = scratch[:hi - lo]
-        np.subtract(grid, xs[lo:hi, None], out=w)
+        np.negative(xs[lo:hi], out=left[:hi - lo, 1])
+        np.matmul(left[:hi - lo], right, out=w)
         w *= scale
         w *= w
         np.negative(w, out=w)

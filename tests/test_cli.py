@@ -152,6 +152,21 @@ def test_non_finite_constraint_is_validation_error(
     assert message in err
 
 
+def test_overflowing_constraint_is_validation_error(capsys, tmp_path):
+    # the constraint products are +inf in one state and -inf in the other
+    market = write_json(tmp_path / "market.json", {"states": [
+        {"prob": 0.5, "mu": [0.1, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        {"prob": 0.5, "mu": [0.0, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    ]})
+    path = write_json(tmp_path / "constraints.json", {"constraints": [
+        {"kind": "raw", "g": [[1e200, 0.0], [1e200, 0.0]]},
+        {"kind": "raw", "g": [[1e200, 0.0], [-1e200, 0.0]]},
+    ]})
+    rc, out, err = run_cli(capsys, "solve-discrete", "--market", market, "--constraints", path)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: constraint 0 overflows: ") and err.count("\n") == 1
+
+
 def test_degenerate_market_is_numerical_error(capsys, tmp_path):
     market = {"states": [{"prob": 1.0, "mu": [0.0], "sigma": [[1.0]]}]}
     path = write_json(tmp_path / "flat.json", market)

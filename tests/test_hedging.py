@@ -320,6 +320,51 @@ def test_non_finite_per_state_vectors_rejected(two_state_market):
         HedgeConstraint.zero_covariance(two_state_market, bad)
 
 
+# per-state products of these overflow to +inf in one state and -inf in
+# the other, which an exact sum cannot add
+OVERFLOW_MARKET = {"states": [
+    {"prob": 0.5, "mu": [0.1, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    {"prob": 0.5, "mu": [0.0, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+]}
+HUGE = [[1e200, 0.0], [1e200, 0.0]]
+HUGE_MIXED = [[1e200, 0.0], [-1e200, 0.0]]
+
+
+def test_solve_hedge_names_an_overflowing_constraint():
+    market = DiscreteMarket.from_dict(OVERFLOW_MARKET)
+    small = [[1.0, 0.0], [0.0, 1.0]]
+    for gs, j in (([HUGE, HUGE_MIXED], 0), ([small, HUGE_MIXED], 1)):
+        cons = [HedgeConstraint.raw(g, market) for g in gs]
+        with pytest.raises(DomainError, match=f"^constraint {j} overflows: "):
+            solve_hedge(market, cons, Kelly())
+
+
+def test_optimize_basis_names_an_overflowing_element():
+    market = DiscreteMarket.from_dict(OVERFLOW_MARKET)
+    with pytest.raises(DomainError, match="^basis 0 overflows: "):
+        optimize_basis(market, [HUGE, HUGE_MIXED], Kelly())
+    with pytest.raises(DomainError, match="^basis 1 overflows: "):
+        optimize_basis(market, [[[1.0, 0.0], [0.0, 1.0]], HUGE_MIXED], Kelly())
+
+
+def test_zero_covariance_names_an_overflowing_target():
+    # sigma near 1e200 lets mu reach 1e100 without a singular pivot; the
+    # first target overflows <target, mu>, the second only A w
+    market = DiscreteMarket.from_dict({"states": [
+        {"prob": 0.5, "mu": [1e100, 0.0], "sigma": [[1e200, 0.0], [0.0, 1e200]]},
+        {"prob": 0.5, "mu": [0.0, 1e100], "sigma": [[1e200, 0.0], [0.0, 1e200]]},
+    ]})
+    for target in ([[1e300, 0.0], [0.0, -1e300]], [[1e150, 0.0], [0.0, 1.0]]):
+        with pytest.raises(DomainError, match="^target overflows: "):
+            HedgeConstraint.zero_covariance(market, target)
+
+
+def test_inner_product_rejects_an_overflowing_product():
+    market = DiscreteMarket.from_dict(OVERFLOW_MARKET)
+    with pytest.raises(DomainError, match="^x times y overflows$"):
+        inner_product(HUGE, HUGE_MIXED, market)
+
+
 def test_flatten_shapes_and_values():
     single = flatten_pseudo_assets([[2.0], [3.0]], [[5.0], [7.0]])
     np.testing.assert_array_equal(single, [[10.0], [21.0]])

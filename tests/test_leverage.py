@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 import tracemalloc
 import warnings
 
@@ -287,6 +288,74 @@ def test_huge_samples_on_their_grid_points():
     xs = np.array([1e300, 2e300, 3e300])
     np.testing.assert_array_equal(kernel_regress(xs, [1.0, 2.0, 3.0], xs, 1e-10),
                                   [1.0, 2.0, 3.0])
+
+
+def _broadcast_nw_sums(xs, ys, grid, bandwidth):
+    """nw_sums with each block's differences formed by a broadcast
+    subtract, in the same blocks, buffers and passes otherwise."""
+    n_samples, n_grid = xs.size, grid.size
+    rows = max(1, leverage._CHUNK_ELEMS // max(n_grid, 1))
+    scale = min(math.sqrt(0.5) / bandwidth, sys.float_info.max)
+    scratch = np.empty((min(rows, n_samples), n_grid))
+    ones = np.ones(min(rows, n_samples))
+    den = np.zeros(n_grid)
+    num = np.zeros((ys.shape[0], n_grid))
+    for lo in range(0, n_samples, rows):
+        hi = min(lo + rows, n_samples)
+        w = scratch[:hi - lo]
+        np.subtract(grid, xs[lo:hi, None], out=w)
+        w *= scale
+        w *= w
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        den += ones[:hi - lo] @ w
+        num += ys[:, lo:hi] @ w
+    return den, num
+
+
+def _difference_cases():
+    """name -> (xs, grid, a bandwidth in the data's units or None), each
+    reaching an edge of the difference grid[j] - xs[t]."""
+    rng = np.random.default_rng(2026)
+    tiny, big = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+    cases = {}
+    for i, s in enumerate(10.0 ** rng.uniform(-5.0, 5.0, 4)):
+        xs = s * rng.uniform(0.5, 2.5, 300)
+        grid = np.sort(np.concatenate([np.linspace(0.4 * s, 2.6 * s, 23), xs[:3]]))
+        cases[f"scale-{s:.3g}"] = (xs, grid, 0.3 * s)
+    cases["subnormal"] = (tiny * rng.integers(-2**20, 2**20, 300).astype(float),
+                          tiny * np.arange(-2**20, 2**20 + 1, 2**15).astype(float),
+                          2**10 * tiny)
+    cases["overflow"] = (np.array([-big, -0.75 * big, 1.0, 0.9 * big, big]),
+                         np.array([-big, -0.6 * big, 0.0, 0.6 * big, big]), 0.1 * big)
+    cases["signed-zero"] = (np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.0]),
+                            np.array([-0.0, 0.0, 0.5, 1.0]), 1.0)
+    for n_grid in (101, 2**16 + 1):
+        r = max(1, leverage._CHUNK_ELEMS // n_grid)
+        for t in (r - 1, r, r + 1):
+            cases[f"G{n_grid}-T{t}"] = (rng.uniform(0.5, 2.5, t),
+                                       np.linspace(0.0, 3.0, n_grid), None)
+    return cases
+
+
+_DIFFERENCE_CASES = _difference_cases()
+
+
+@pytest.mark.parametrize("h", [5e-324, 1e-10, 0.3])
+@pytest.mark.parametrize("case", list(_DIFFERENCE_CASES))
+def test_nw_sums_matches_broadcast_difference(case, h):
+    # the rank-2 product [1, -x_t] @ [grid; 1] multiplies only by 1, so
+    # it must give the subtract's weights and sums bit for bit
+    xs, grid, own_h = _DIFFERENCE_CASES[case]
+    y = np.random.default_rng(xs.size).uniform(-1.0, 1.0, xs.size)
+    ys = np.vstack([y, y * y])
+    for bandwidth in (h, own_h) if own_h is not None else (h,):
+        with np.errstate(over="ignore"):
+            got = leverage.nw_sums(xs, ys, grid, bandwidth)
+            want = _broadcast_nw_sums(xs, ys, grid, bandwidth)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True), (case, bandwidth)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), (case, bandwidth)
 
 
 def test_leverage_curve_memory_bound():
