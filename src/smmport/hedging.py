@@ -202,8 +202,8 @@ def solve_hedge(
         m_terms = p[:, None, None] * np.einsum("sni,snj->sij", g, x)
         b_terms = p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions)
     _check_terms("constraint", m_terms, b_terms)
-    m_mat = _sym(_fsum(m_terms))
-    b_vec = -_fsum(b_terms)
+    sums = _fsum(np.concatenate([m_terms, b_terms[:, :, None]], axis=2))
+    m_mat, b_vec = _sym(sums[:, :n_con]), -sums[:, n_con]
 
     if not np.all(np.isfinite(m_mat)) or np.linalg.cond(m_mat) > CONDITION_LIMIT:
         raise SingularConstraintSystem(

@@ -1,18 +1,20 @@
 """Discrete-feature markets and policy evaluation.
 
 A market is a finite set of S states, each carrying a probability and a
-conditional moment pair over n assets. Every market, whether read from
-JSON, given as ``MomentPair`` states or merged, is built from copies of
-its inputs by the checks of ``DiscreteMarket.from_arrays``, which check
-all states at once (:func:`smmport.moments._pair_stacks`), and is stored
-as stacked, read-only arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``,
-``second_moment`` and their lower Cholesky factors (S, n, n), each
-factor from one batched factorization. At construction the market also
-solves, once and batched over states, the per-state quantities that
-every operation reuses: ``smm_directions`` inv(A_s) mu_s,
-``markowitz_directions`` inv(Sigma_s) mu_s, ``conditional_q``
-mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq`` mu_s' inv(Sigma_s) mu_s,
-and sums them into q two ways, which must agree (:func:`q_of`).
+conditional moment pair over n assets, stored as stacked, read-only
+arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``, ``second_moment``
+and their lower Cholesky factors (S, n, n). Each state is validated once,
+where it enters, by :func:`smmport.moments._pair_stacks`: the states of
+``from_arrays`` and ``from_dict`` all at once, a ``MomentPair`` when it is
+built (``DiscreteMarket(states)`` stacks the pairs' checked arrays) and a
+merged state alone (``merge_states`` keeps the other states' stacks).
+Every constructor ends in ``DiscreteMarket._from_stacks``, which checks
+the probabilities and solves, once and batched over states, the
+per-state quantities that every operation reuses: ``smm_directions``
+inv(A_s) mu_s, ``markowitz_directions`` inv(Sigma_s) mu_s,
+``conditional_q`` mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq``
+mu_s' inv(Sigma_s) mu_s, and sums them into q two ways, which must agree
+(:func:`q_of`).
 
 A policy assigns an asset-weight vector to every state, stored as one
 (S, n) array. Unconditional moments of a policy are probability-weighted
@@ -66,6 +68,8 @@ _STACKS = (
     "second_supplied", "smm_directions", "markowitz_directions",
     "conditional_q", "conditional_sharpe_sq",
 )
+# The arrays of a MomentPair, stacked.
+_PAIR_STACKS = ("mu", "sigma", "second_moment", "chol_sigma", "chol_second")
 
 
 def _check_probs(probs: np.ndarray) -> None:
@@ -139,6 +143,10 @@ class DiscreteMarket:
     rather than their covariance, so ``to_dict`` keeps each state's
     parameterization. ``states`` and ``moments`` are per-state
     ``MomentPair`` views, built on first access.
+
+    ``DiscreteMarket(states)`` takes (probability, ``MomentPair``) pairs.
+    Each pair was checked when it was built, so its arrays are stacked as
+    they are, bit for bit, and ``states`` returns the given pairs.
     """
 
     __slots__ = _STACKS + ("_states", "_q")
@@ -153,9 +161,11 @@ class DiscreteMarket:
                 raise DomainError(f"state {i}: moments must be a MomentPair")
             if m.n != pairs[0].n:
                 raise DimensionMismatch(f"state {i} has {m.n} assets, expected {pairs[0].n}")
-        given = [m.supplied == "second_moment" for m in pairs]
-        mats = [m.second_moment if g else m.sigma for m, g in zip(pairs, given)]
-        market = self.from_arrays([p for p, _ in states], [m.mu for m in pairs], mats, given)
+        # each pair passed _pair_stacks when it was built: stack its arrays
+        stacks = {name: np.stack([getattr(m, name) for m in pairs]) for name in _PAIR_STACKS}
+        stacks["second_supplied"] = np.array([m.supplied == "second_moment" for m in pairs])
+        stacks["probs"] = np.array([p for p, _ in states])
+        market = self._from_stacks(stacks, np.zeros(len(pairs)))
         for name in self.__slots__:
             setattr(self, name, getattr(market, name))
         self._states = states
@@ -173,9 +183,9 @@ class DiscreteMarket:
 
     @classmethod
     def _from_stacks(cls, stacks: dict, asymmetry: np.ndarray) -> "DiscreteMarket":
-        """The market of stacks that passed :func:`_state_stacks`: checks
-        the probabilities, warns, solves, checks q (:func:`q_of`) and
-        locks. Every constructor ends here."""
+        """The market of stacks that passed :func:`moments._pair_stacks`,
+        with ``probs``: checks the probabilities, warns, solves, checks q
+        (:func:`q_of`) and locks. Every constructor ends here."""
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
@@ -184,8 +194,10 @@ class DiscreteMarket:
         stacks["markowitz_directions"], stacks["conditional_sharpe_sq"] = _solve(chol_sigma, mu)
         stacks["smm_directions"], stacks["conditional_q"] = _solve(chol_second, mu)
         p = stacks["probs"]
-        q = _fsum(p * stacks["conditional_q"])
-        alt = 1.0 - _fsum(p / (1.0 + stacks["conditional_sharpe_sq"]))
+        q, rest = _fsum(np.stack([
+            p * stacks["conditional_q"], p / (1.0 + stacks["conditional_sharpe_sq"]),
+        ], axis=1)).tolist()
+        alt = 1.0 - rest
         if abs(q - alt) > Q_CONSISTENCY_TOL:
             raise SmmError(f"internal: q formulas disagree ({q!r} vs {alt!r})")
         market = cls.__new__(cls)
@@ -334,11 +346,14 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     """
     w = _per_state_vectors(policy, market, "policy")
     y = np.einsum("sji,sj->si", market.chol_second, w)
-    second = _fsum(market.probs * np.einsum("si,si->s", y, y))
+    terms = market.probs[:, None] * np.stack([
+        np.einsum("si,si->s", y, y), np.einsum("si,si->s", market.mu, w),
+    ], axis=1)
+    # |mu_s' w_s| <= sqrt(w_s' A_s w_s): where every second-moment term is
+    # finite, so is every mean term
+    second, mean = _fsum(terms).tolist() if np.isfinite(terms[:, 0]).all() else (math.inf, 0.0)
     if not math.isfinite(second):
         raise DomainError("the policy's second moment overflows: its weights are too large")
-    # |mu_s' w_s| <= sqrt(w_s' A_s w_s), so the mean is finite too
-    mean = _fsum(market.probs * np.einsum("si,si->s", market.mu, w))
     return PerfSummary(mean=mean, second_moment=second, rfr=float(rfr))
 
 
@@ -369,10 +384,9 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
     unit policy has mean E[zeta^2] and second moment E[zeta^2 (1 + zeta^2)].
     """
     z = market.conditional_sharpe_sq
-    summary = PerfSummary(
-        mean=_fsum(market.probs * z),
-        second_moment=_fsum(market.probs * z * (1.0 + z)),
-    )
+    pz = market.probs * z
+    mean, second = _fsum(np.stack([pz, pz * (1.0 + z)], axis=1)).tolist()
+    summary = PerfSummary(mean=mean, second_moment=second)
     if isinstance(objective, SharpeBudget):
         if summary.risk == 0.0:
             raise DegenerateMarket("unit covariance policy has zero risk")
@@ -403,9 +417,11 @@ def merge_states(
     The merged state carries the probability-weighted mean and second
     moment of its members (second moments, not covariances, are affine in
     the mixture); its covariance is recovered as A - mu mu'. It is placed
-    at the smallest merged index, and :meth:`DiscreteMarket.from_arrays`
-    checks the other states again, which keeps their bits. Returns the new
-    market and delta_q = q(merged) - q(original) <= 0, as -sum_{s in subset}
+    at the smallest merged index. Only the merged state is checked, by
+    :func:`moments._pair_stacks`; the other states keep their checked
+    stacks, bit for bit, and the new market is finished as every market is
+    (probabilities, solves, q). Returns the new market and
+    delta_q = q(merged) - q(original) <= 0, as -sum_{s in subset}
     p_s ||L_s'(x_s - x_m)||^2, x = inv(A) mu and x_m the merged state's.
     """
     subset = list(subset)
@@ -415,23 +431,34 @@ def merge_states(
     if bad:
         first = next(i for i in subset if type(i) in bad)
         raise InvalidSubset(f"subset index {first!r} is not an integer")
-    idx = sorted(set(int(i) for i in subset))
+    idx = sorted(set(map(int, subset)))
     if len(idx) < 2:
         raise InvalidSubset("need at least two distinct states to merge")
     if idx[0] < 0 or idx[-1] >= market.n_states:
         raise InvalidSubset(
             f"subset {idx} out of range for {market.n_states} states"
         )
-    p = market.probs[idx]
-    p_merged = 1.0 if len(idx) == market.n_states else _fsum(p)
-    mu_acc = _fsum(p[:, None] * market.mu[idx])
-    a_acc = _fsum_symmetric(p[:, None, None] * market.second_moment[idx])
-    given = market.second_supplied
-    mats = np.where(given[:, None, None], market.second_moment, market.sigma)
-    arrays = [np.delete(a, idx[1:], axis=0) for a in (market.probs, market.mu, mats, given)]
-    for a, merged in zip(arrays, (p_merged, mu_acc / p_merged, a_acc / p_merged, True)):
-        a[idx[0]] = merged
-    new_market = DiscreteMarket.from_arrays(*arrays)
+    # each member's second moment of (1, r), [[1, mu'], [mu, A]], weighted
+    # by its probability and summed at once: p_merged, p_merged mu_m and
+    # p_merged A_m
+    n, p = market.n_assets, market.probs[idx]
+    aug = np.empty((len(idx), n + 1, n + 1))
+    aug[:, 0, 0] = 1.0
+    aug[:, 0, 1:] = aug[:, 1:, 0] = market.mu[idx]
+    aug[:, 1:, 1:] = market.second_moment[idx]
+    sums = _fsum_symmetric(p[:, None, None] * aug)
+    p_merged = 1.0 if len(idx) == market.n_states else sums[0, 0]
+    merged, _ = _pair_stacks(sums[None, 1:, 0] / p_merged, sums[None, 1:, 1:] / p_merged,
+                             np.array([True]))
+    merged["probs"] = np.array([p_merged])
+    keep = np.ones(market.n_states, dtype=bool)
+    keep[idx[1:]] = False
+    kept = np.flatnonzero(keep)
+    stacks = {}
+    for name, row in merged.items():
+        stacks[name] = getattr(market, name).take(kept, axis=0)
+        stacks[name][idx[0]] = row[0]
+    new_market = DiscreteMarket._from_stacks(stacks, np.zeros(kept.size))
     dx = market.smm_directions[idx] - new_market.smm_directions[idx[0]]
     y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
     return new_market, -_fsum(p * np.einsum("si,si->s", y, y))

@@ -164,17 +164,51 @@ def _solve(lower: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _fsum(terms: np.ndarray):
     """Correctly rounded sum of ``terms`` over its leading axis, a float for
-    a vector. Where a partial sum in ``math.fsum`` overflows, the column is
-    summed scaled down by a power of two above twice its length and scaled
-    back: exact but for terms turned subnormal, +/-inf only past the maximum."""
-    sums = []
-    for column in terms.reshape(terms.shape[0], -1).T.tolist():
-        try:
-            sums.append(math.fsum(column))
-        except OverflowError:
-            scale = math.ldexp(1.0, len(column).bit_length() + 1)
-            sums.append(math.fsum([v / scale for v in column]) * scale)
-    sums = np.array(sums).reshape(terms.shape[1:])
+    a vector: the bits of ``math.fsum`` of each column, whatever the order
+    or SIMD width of numpy's own sums.
+
+    All columns are summed at once by error-free extraction (ExtractVector of
+    Rump, Ogita & Oishi, "Accurate floating-point summation, part I: faithful
+    rounding", SIAM J. Sci. Comput. 31(1), 2008). With S terms and
+    2**m >= S + 2, each step takes sigma = 2**(e + m) per column, 2**e the
+    least power of two above its largest residual |x|, splits x into
+    q = (sigma + x) - sigma and x - q, and sums the q of each column,
+    exactly in any order: every q is a multiple of eps * sigma and their
+    partial sums stay below sigma. It repeats until every residual is 0;
+    ``math.fsum`` of a column's level sums, two or three for terms of like
+    magnitude, is its correctly rounded total.
+
+    A column holding NaN or +/-inf, or a term of magnitude 2**(1023 - m) or
+    more (where sigma would overflow), is summed alone by ``math.fsum``, so
+    +inf and -inf together raise its ``ValueError``. Where a partial sum
+    there overflows, the column is summed scaled down by a power of two
+    above twice its length and scaled back: exact but for terms turned
+    subnormal, +/-inf only past the maximum."""
+    x = np.array(terms.reshape(terms.shape[0], -1).T, dtype=np.float64, order="C")  # (K, S)
+    q = np.empty_like(x)
+    m = (x.shape[1] + 1).bit_length()
+    top = np.abs(x, out=q).max(axis=1)
+    fast = top < math.ldexp(1.0, 1023 - m)  # False for NaN and inf
+    sums = np.empty(x.shape[0])
+    if not fast.all():
+        for j in np.flatnonzero(~fast).tolist():
+            column = x[j].tolist()
+            try:
+                sums[j] = math.fsum(column)
+            except OverflowError:
+                scale = math.ldexp(1.0, len(column).bit_length() + 1)
+                sums[j] = math.fsum([v / scale for v in column]) * scale
+        x, top, q = x[fast], top[fast], q[:np.count_nonzero(fast)]
+    levels = []
+    while top.any():
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
+        np.add(sigma, x, out=q)
+        q -= sigma
+        x -= q
+        levels.append(q.sum(axis=1))
+        top = np.abs(x, out=q).max(axis=1)
+    sums[fast] = [math.fsum(c) for c in np.array(levels).T.tolist()] if levels else 0.0
+    sums = sums.reshape(terms.shape[1:])
     return sums if sums.ndim else float(sums)
 
 

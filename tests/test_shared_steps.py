@@ -78,6 +78,110 @@ def test_fsum_has_the_bits_of_math_fsum_where_that_does_not_raise():
     check()
 
 
+def reference_fsum(terms):
+    """``math.fsum`` one column at a time, scaled down where a partial sum
+    overflows: the per-column sum that ``_fsum`` keeps for non-finite and
+    near-overflow columns, and had for every column before it was batched."""
+    sums = []
+    for column in terms.reshape(terms.shape[0], -1).T.tolist():
+        try:
+            sums.append(math.fsum(column))
+        except OverflowError:
+            scale = math.ldexp(1.0, len(column).bit_length() + 1)
+            sums.append(math.fsum([v / scale for v in column]) * scale)
+    sums = np.array(sums).reshape(terms.shape[1:])
+    return sums if sums.ndim else float(sums)
+
+
+def fsum_guard(n_terms):
+    """The magnitude from which a column of ``n_terms`` terms is summed by
+    ``math.fsum`` alone: 2**(1023 - m) with 2**m >= n_terms + 2."""
+    return math.ldexp(1.0, 1023 - (n_terms + 1).bit_length())
+
+
+def hard_terms(rng, s, k):
+    """(s, k) terms with magnitudes from 1e-320 to 1e300, signed zeros, and
+    about half of each column cancelling the other half to a few ulps."""
+    mags = np.ldexp(rng.uniform(0.5, 1.0, (s, k)), rng.integers(-1063, 997, (s, k)))
+    narrow = np.ldexp(rng.uniform(0.5, 1.0, (s, k)), rng.integers(-60, 60, (s, k)))
+    x = np.where(rng.random((s, k)) < 0.5, mags, narrow)
+    x = np.where(rng.random((s, k)) < 0.5, -x, x)
+    half = s // 2
+    x[half:2 * half] = -x[:half] * (1.0 + np.ldexp(rng.integers(-4, 5, (half, k)), -52))
+    x[rng.random((s, k)) < 0.05] = 0.0
+    x[rng.random((s, k)) < 0.05] = -0.0
+    return x[rng.permutation(s)]
+
+
+def test_fsum_of_large_stacks_has_the_bits_of_math_fsum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 5000), st.integers(1, 10), st.integers(0, 0xFFFF_FFFF))
+    def check(s, k, seed):
+        terms = hard_terms(np.random.default_rng(seed), s, k)
+        got = _fsum(terms)
+        for j in range(k):
+            assert got[j].hex() == math.fsum(terms[:, j].tolist()).hex()
+        assert _fsum(terms[:, 0]).hex() == got[0].hex()
+
+    check()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 1000, 4094, 4095])
+def test_fsum_near_the_overflow_guard(s):
+    rng = np.random.default_rng(s)
+    guard = fsum_guard(s)
+    for top in (math.nextafter(guard, 0.0), guard):
+        terms = np.ldexp(rng.uniform(-1.0, 1.0, (s, 3)), -rng.integers(0, 60, (s, 3)))
+        terms *= top
+        terms[0] = [top, -top, 0.5 * top]
+        if s > 1:
+            terms[1] = [top, -top, -top]
+        got = _fsum(terms)
+        assert got.tobytes() == reference_fsum(terms).tobytes()
+        for j in range(3):
+            column = terms[:, j].tolist()
+            try:
+                want = math.fsum(column)
+            except OverflowError:
+                continue
+            assert got[j].hex() == want.hex()
+
+
+@pytest.mark.parametrize("special", [
+    [math.nan], [math.inf], [-math.inf], [math.inf, math.inf], [math.nan, math.inf],
+    [-math.inf, math.nan, -math.inf],
+])
+def test_fsum_of_non_finite_columns_is_unchanged(special):
+    terms = np.array([[1.0, 2.0], [3.0, -4.0], [5.0, 6.0]])
+    terms[:len(special), 1] = special
+    got, want = _fsum(terms), reference_fsum(terms)
+    assert got[0] == 9.0
+    assert got.tobytes() == want.tobytes() or (np.isnan(got[1]) and np.isnan(want[1]))
+    assert str(_fsum(terms[:, 1])) == str(reference_fsum(terms[:, 1]))
+
+
+@pytest.mark.parametrize("mixed", [[math.inf, -math.inf], [-math.inf, math.nan, math.inf]])
+def test_fsum_of_mixed_infinities_raises_the_value_error(mixed):
+    terms = np.zeros((4, 3))
+    terms[:len(mixed), 2] = mixed
+    with pytest.raises(ValueError) as want:
+        reference_fsum(terms)
+    with pytest.raises(ValueError) as got:
+        _fsum(terms)
+    assert str(got.value) == str(want.value) == "-inf + inf in fsum"
+
+
+def test_fsum_of_a_vector_is_a_python_float():
+    for terms in (np.array([0.1] * 10), np.array([-0.0, -0.0]), np.array([1e308, 1e308])):
+        got = _fsum(terms)
+        assert type(got) is float
+        assert got.hex() == reference_fsum(terms).hex()
+    assert _fsum(np.array([-0.0])).hex() == math.fsum([-0.0]).hex() == "0x0.0p+0"
+
+
 def test_sum_overflow_is_a_named_error_on_the_cli(capsys, tmp_path):
     # the two second-moment terms sum past the float maximum
     states = [{"prob": 0.5, "mu": [1.0], "sigma": [[1.0]]},

@@ -527,3 +527,106 @@ def test_fsum_symmetric_matches_full_sum(s, n):
     got = smmport.moments._fsum_symmetric(terms)
     assert np.array_equal(got, got.T)
     assert got.tobytes() == smmport.moments._fsum(terms).tobytes()
+
+
+# --- markets built from checked stacks -----------------------------------
+
+# sigma[0, 1] = 2**-1073 is stored halved, as 2**-1074; halving it again
+# would round it to 0
+TINY = math.ldexp(1.0, -1073)
+SUBNORMAL_SIGMA = [[1.0, TINY], [0.0, 1.0]]
+
+
+def test_market_of_pairs_keeps_each_pairs_bits():
+    pair = MomentPair([0.1, 0.2], sigma=SUBNORMAL_SIGMA)
+    assert pair.sigma[0, 1] == pair.sigma[1, 0] == math.ldexp(1.0, -1074)
+    market = DiscreteMarket([(1.0, pair)])
+    for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second"):
+        assert_same_bits(getattr(market, name)[0], getattr(pair, name))
+    assert market.states[0][1] is pair
+
+
+def test_merge_keeps_the_bits_of_the_states_it_keeps():
+    market = DiscreteMarket.from_arrays(
+        [0.5, 0.25, 0.25], [[0.1, 0.2], [0.0, 0.1], [0.1, 0.0]],
+        [SUBNORMAL_SIGMA, np.eye(2), np.eye(2)], [False, False, False])
+    assert market.sigma[0, 0, 1] == math.ldexp(1.0, -1074)
+    merged, _ = merge_states(market, [1, 2])
+    for name in STACKS:
+        assert_same_bits(getattr(merged, name)[0], getattr(market, name)[0])
+
+
+@pytest.mark.parametrize("n_states", [1, 7, 500])
+def test_market_of_its_own_states_has_its_bits(n_states):
+    rng = np.random.default_rng(8000 + n_states)
+    market = DiscreteMarket.from_dict(random_market_dict(rng, n_states, 3))
+    again = DiscreteMarket(market.states)
+    for name in STACKS:
+        assert_same_bits(getattr(again, name), getattr(market, name))
+    assert q_of(again).hex() == q_of(market).hex()
+
+
+def rebuilt_merge(market, subset):
+    """The merged market rebuilt by ``from_arrays`` from the merged arrays:
+    every state checked again, the merged state's moments by ``math.fsum``."""
+    idx = sorted(set(subset))
+    p = market.probs[idx].tolist()
+    p_m = 1.0 if len(idx) == market.n_states else math.fsum(p)
+    mu_m = [math.fsum(pi * market.mu[i, a] for pi, i in zip(p, idx)) / p_m
+            for a in range(market.n_assets)]
+    a_m = [[math.fsum(pi * market.second_moment[i, a, b] for pi, i in zip(p, idx)) / p_m
+            for b in range(market.n_assets)] for a in range(market.n_assets)]
+    given = market.second_supplied
+    mats = np.where(given[:, None, None], market.second_moment, market.sigma)
+    arrays = [np.delete(a, idx[1:], axis=0) for a in (market.probs, market.mu, mats, given)]
+    for a, merged in zip(arrays, (p_m, mu_m, a_m, True)):
+        a[idx[0]] = merged
+    return DiscreteMarket.from_arrays(*arrays)
+
+
+def test_merge_equals_the_market_rebuilt_from_merged_arrays():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        s = data.draw(st.integers(2, 12), label="states")
+        n = data.draw(st.integers(1, 4), label="assets")
+        seed = data.draw(st.integers(0, 0xFFFF_FFFF), label="seed")
+        market = DiscreteMarket.from_dict(random_market_dict(np.random.default_rng(seed), s, n))
+        subset = data.draw(st.one_of(
+            st.permutations(range(s)),
+            st.just([s - 1, 0, s - 1]),
+            st.lists(st.integers(0, s - 1), min_size=2, max_size=2 * s),
+        ).filter(lambda sub: len(set(sub)) > 1), label="subset")
+        merged, delta_q = merge_states(market, subset)
+        want = rebuilt_merge(market, subset)
+        for name in STACKS:
+            assert_same_bits(getattr(merged, name), getattr(want, name))
+        assert q_of(merged).hex() == q_of(want).hex()
+        # delta_q by its formula on the rebuilt market, summed by math.fsum
+        idx = sorted(set(subset))
+        dx = market.smm_directions[idx] - want.smm_directions[idx[0]]
+        y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
+        terms = market.probs[idx] * np.einsum("si,si->s", y, y)
+        assert delta_q.hex() == (-math.fsum(terms.tolist())).hex()
+
+    check()
+
+
+def test_merged_state_failing_the_pivot_test_raises_as_a_rebuild_does():
+    # each state's sigma has pivot ratio 2 (1 - r) = 1.5 PIVOT_RTOL. The means
+    # (1, 1) +/- (0.5, -0.5) differ along (1, 1), so the merged sigma gains
+    # [[1, 1], [1, 1]], which halves its ratio; each state's A also gains a
+    # part along (1, -1), which keeps it well clear of the tolerance
+    r = 1.0 - 0.75 * PIVOT_RTOL
+    sigma = [[1.0, r], [r, 1.0]]
+    market = DiscreteMarket.from_arrays([0.5, 0.5], [[1.5, 0.5], [-0.5, -1.5]],
+                                        [sigma, sigma], [False, False])
+    with pytest.raises(NotPositiveDefinite) as want:
+        rebuilt_merge(market, [0, 1])
+    with pytest.raises(NotPositiveDefinite) as got:
+        merge_states(market, [0, 1])
+    assert str(got.value) == str(want.value) == (
+        "sigma is numerically singular (pivot below tolerance)")
