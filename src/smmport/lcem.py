@@ -16,21 +16,30 @@ With Sigma = L L' and the feature law f = m + F z, z standard normal,
 
     s = ||C z + d||^2,    C = inv(L) B F,    d = inv(L) B m.
 
-``LcemModel`` computes C and d once, at construction, so a block of
-count samples costs one normal draw into a reused buffer, one
-(n x k)(k x count) product giving the signal with one asset per row,
+Only the law of s matters, and C z is normal with covariance C C'. So
+with n assets and k features, n < k, the model keeps the n x n lower
+Cholesky factor G of C C' instead of C, and s = ||G z + d||^2 with z of
+length n has the same law: each sample draws r = min(n, k) normals.
+G comes from the QR factorization C' = Q R as R' with its diagonal made
+nonnegative, so C C' is never formed and a rank-deficient C needs no
+special case.
+
+``LcemModel`` computes the factor and d once, at construction, so a
+block of count samples costs one normal draw into a reused buffer, one
+(n x r)(r x count) product giving the signal with one asset per row,
 and the squares of those n rows summed: features are never formed and
 nothing is solved per sample. Each worker thread owns one set of
 buffers, allocated at its first block and reused by the rest of its run.
 
 Sampling contract
 -----------------
-Features are drawn in fixed blocks of ``BLOCK_SIZE`` samples. Block b
-uses a Philox counter-based generator keyed by the seed with its counter
-advanced to block b's private range, so the draws for a block depend
-only on (seed, b). Per-block partial sums are combined across blocks
-with exact summation. The blocks are split into contiguous runs, one per
-worker thread; there are at most ``n_streams`` workers and one per CPU.
+The normals z are drawn in fixed blocks of ``BLOCK_SIZE`` samples, r
+per sample. Block b uses a Philox counter-based generator keyed by the
+seed with its counter advanced to block b's private range, so the draws
+for a block depend only on (seed, b). Per-block partial sums are
+combined across blocks with exact summation. The blocks are split into
+contiguous runs, one per worker thread; there are at most ``n_streams``
+workers and one per CPU.
 Estimates are bit-identical for any ``n_streams`` and any scheduling.
 """
 
@@ -65,10 +74,13 @@ BLOCK_SIZE = 1 << 16
 class LcemModel:
     """Coefficient matrix, residual covariance, and Gaussian feature law.
 
-    ``signal_factor`` and ``signal_offset`` are C = inv(L) B F and
-    d = inv(L) B m (see the module docstring), so that
-    s = ||C z + d||^2 for a standard normal z. Every array is the
-    model's own read-only float64 copy of a finite input.
+    ``signal_offset`` is d = inv(L) B m and ``signal_factor`` is a
+    matrix G with G G' = C C' for C = inv(L) B F (see the module
+    docstring): the lower-triangular n x n factor with a nonnegative
+    diagonal when n < k, C itself when n >= k. So s = ||G z + d||^2 has
+    the law of the model's s for a standard normal z of length
+    ``signal_factor.shape[1]`` = min(n, k). Every array is read-only
+    float64, and the inputs are the model's own copies.
     """
 
     __slots__ = ("B", "sigma", "feature_mean", "feature_cov",
@@ -92,8 +104,18 @@ class LcemModel:
         chol = self.chol_sigma = residual.chol_sigma
         factor = _psd_factor(fcov, "feature_cov")
         self.feature_factor = _lock(factor)
-        self.signal_factor = _lock(_tri_solve(chol, b_mat @ factor))
-        self.signal_offset = _lock(_tri_solve(chol, b_mat @ fmean))
+        # a huge B overflows here to inf or nan, silently: the first
+        # block's check of s names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            signal = _tri_solve(chol, b_mat @ factor)
+            self.signal_offset = _lock(_tri_solve(chol, b_mat @ fmean))
+            if n < k:
+                # G = R' for C' = Q R, each column's sign set so that
+                # G's diagonal is nonnegative (a zero keeps its sign)
+                upper = np.linalg.qr(signal.T, mode="r")
+                signal = np.ascontiguousarray(
+                    upper.T * np.where(np.diagonal(upper) < 0.0, -1.0, 1.0))
+        self.signal_factor = _lock(signal)
         self.B = _lock(b_mat)
         self.sigma = residual.sigma
         self.feature_mean = _lock(fmean)
@@ -228,22 +250,13 @@ def _normal_block(seed: int, block_index: int, out: np.ndarray) -> np.ndarray:
     return np.random.Generator(bitgen).standard_normal(out=out)
 
 
-def feature_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
-    """Draw the ``count`` feature rows of block ``block_index``.
-
-    Deterministic given (seed, block_index, count); independent of any
-    other block.
-    """
-    z = _normal_block(seed, block_index, np.empty((count, model.n_features)))
-    return model.feature_mean + z @ model.feature_factor.T
-
-
 def _signal_norms(model: LcemModel, seed: int, block_index: int,
                   z: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Fill ``s`` with ||C z + d||^2 for the draws z of block
-    ``block_index``, forming the signal C z + d in ``y`` one asset per row
-    (n x count), so every step runs along contiguous samples. A huge
-    signal overflows to inf or nan here, silently; callers check ``s``."""
+    """Fill ``s`` with ||G z + d||^2 for the draws z (count x r) of block
+    ``block_index``, G the model's ``signal_factor``, forming the signal
+    G z + d in ``y`` one asset per row (n x count), so every step runs
+    along contiguous samples. A huge signal overflows to inf or nan here,
+    silently; callers check ``s``."""
     _normal_block(seed, block_index, z)
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(model.signal_factor, z.T, out=y)
@@ -256,25 +269,27 @@ def _signal_norms(model: LcemModel, seed: int, block_index: int,
 
 
 def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.ndarray:
-    """s = (B f)' inv(Sigma) (B f) for each feature row of block ``block_index``.
-
-    Computed as ||C z + d||^2 from the same draws as :func:`feature_block`.
+    """The ``count`` values of s in block ``block_index``, as the Monte
+    Carlo estimates use them: ||G z + d||^2 for the block's draws z and
+    the model's ``signal_factor`` G, each with the law of
+    s(f) = (B f)' inv(Sigma) (B f) over the feature law.
     """
-    return _signal_norms(model, seed, block_index, np.empty((count, model.n_features)),
-                         np.empty((model.n_assets, count)), np.empty(count))
+    n, r = model.signal_factor.shape
+    return _signal_norms(model, seed, block_index, np.empty((count, r)),
+                         np.empty((n, count)), np.empty(count))
 
 
 def _scratch_views(scratch: dict, model: LcemModel, count: int):
     """Views for ``count`` samples into one worker's buffers: the draws z
-    (count x k), the signal y (n x count) and three rows s, a, t. The
-    buffers are allocated on first use, sized by that block, and reused
-    by every later block of the run, which is never longer (only the
-    last block is short)."""
-    n, k = model.B.shape
+    (count x r, r = min(n, k) the width of ``signal_factor``), the signal
+    y (n x count) and three rows s, a, t. The buffers are allocated on
+    first use, sized by that block, and reused by every later block of
+    the run, which is never longer (only the last block is short)."""
+    n, r = model.signal_factor.shape
     if scratch.get("size", 0) < count:
-        scratch.update(size=count, z=np.empty(count * k), y=np.empty(n * count),
+        scratch.update(size=count, z=np.empty(count * r), y=np.empty(n * count),
                        rows=np.empty((3, count)))
-    return (scratch["z"][:count * k].reshape(count, k),
+    return (scratch["z"][:count * r].reshape(count, r),
             scratch["y"][:n * count].reshape(n, count),
             *scratch["rows"][:, :count])
 

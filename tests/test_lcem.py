@@ -19,7 +19,7 @@ from smmport import (
     smm_direction,
 )
 from smmport import lcem
-from smmport.lcem import BLOCK_SIZE, block_bounds, feature_block, s_block
+from smmport.lcem import BLOCK_SIZE, block_bounds, s_block
 from conftest import SAMPLE_DIR, random_spd
 
 
@@ -254,25 +254,29 @@ def test_feature_blocks_partition_samples():
     assert bounds[-1][1] == n
     rows = sum(b[1] - b[0] for b in bounds)
     assert rows == n
-    # blocks are self-contained: regenerating one gives identical rows
-    blk = feature_block(model, seed=9, block_index=1, count=100)
-    again = feature_block(model, seed=9, block_index=1, count=100)
+    # blocks are self-contained: regenerating one gives identical values
+    blk = s_block(model, seed=9, block_index=1, count=100)
+    again = s_block(model, seed=9, block_index=1, count=100)
     np.testing.assert_array_equal(blk, again)
-    other = feature_block(model, seed=9, block_index=2, count=100)
+    other = s_block(model, seed=9, block_index=2, count=100)
     assert not np.array_equal(blk, other)
 
 
 def test_s_values_match_direct_formula():
-    # ||C z + d||^2 against (B f)' inv(Sigma) (B f) on the same draws
+    # ||C z + d||^2 against (B f)' inv(Sigma) (B f) on the same draws, which
+    # are the features' own only for n >= k, where C is kept as it is
     rng = np.random.default_rng(14)
-    models = [small_model(seed=s, n=int(rng.integers(1, 5)),
-                          k=int(rng.integers(1, 6))) for s in range(8)]
-    v = rng.standard_normal(3)
-    models.append(LcemModel(B=rng.standard_normal((2, 3)), sigma=random_spd(rng, 2),
-                            feature_mean=rng.standard_normal(3),
+    models = []
+    for s in range(8):
+        n = int(rng.integers(1, 6))
+        models.append(small_model(seed=s, n=n, k=int(rng.integers(1, n + 1))))
+    v = rng.standard_normal(2)
+    models.append(LcemModel(B=rng.standard_normal((3, 2)), sigma=random_spd(rng, 3),
+                            feature_mean=rng.standard_normal(2),
                             feature_cov=np.outer(v, v)))
     for i, model in enumerate(models):
-        feats = feature_block(model, seed=i, block_index=3, count=4096)
+        z = lcem._normal_block(i, 3, np.empty((4096, model.n_features)))
+        feats = model.feature_mean + z @ model.feature_factor.T
         signal = feats @ model.B.T
         direct = np.einsum("ij,ij->i", signal,
                            np.linalg.solve(model.sigma, signal.T).T)
@@ -283,11 +287,103 @@ def test_s_values_match_direct_formula():
         )
 
 
+def signal_gram(model):
+    """Oracle: C C' and d for C = inv(L) B F and d = inv(L) B m, formed
+    from the feature covariance, so that no factor of it is used."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(model.sigma))
+    g = inv_l @ model.B
+    return g @ model.feature_cov @ g.T, g @ model.feature_mean
+
+
+def sampler_models():
+    """n < k, n = k and n > k models, a rank-one C with n < k, and a
+    point-mass feature law with n < k where every s is 1."""
+    rng = np.random.default_rng(23)
+    models = {f"{n}x{k}": small_model(seed=int(rng.integers(1000)), n=n, k=k)
+              for n, k in ((1, 3), (2, 3), (2, 5), (3, 4), (2, 2), (3, 3), (3, 2), (4, 1))}
+    models["rank one"] = LcemModel(
+        B=np.outer(rng.standard_normal(2), rng.standard_normal(4)),
+        sigma=random_spd(rng, 2), feature_mean=rng.standard_normal(4),
+        feature_cov=random_spd(rng, 4))
+    models["point mass"] = LcemModel(B=[[1.0, 0.0]], sigma=[[1.0]],
+                                     feature_mean=[1.0, 5.0], feature_cov=np.zeros((2, 2)))
+    return models
+
+
+@pytest.mark.parametrize("name", list(sampler_models()))
+def test_signal_factor_reproduces_the_signal_covariance(name):
+    model = sampler_models()[name]
+    factor = model.signal_factor
+    gram, _ = signal_gram(model)
+    n, k = model.B.shape
+    assert factor.shape == (n, min(n, k))
+    # to 1e-14 of ||C||_F^2 = tr(C C')
+    np.testing.assert_allclose(factor @ factor.T, gram, rtol=0,
+                               atol=1e-14 * np.trace(gram))
+    if n < k:
+        # the Cholesky factor of C C': unique, so no kernel can rotate it
+        assert np.array_equal(factor, np.tril(factor))
+        assert (np.diagonal(factor) >= 0.0).all()
+
+
+def test_signal_factor_never_squares_the_signal():
+    # C C' would overflow at this scale; its factor scales with C
+    model = small_model(seed=4, n=2, k=3)
+    huge = LcemModel(B=1e200 * model.B, sigma=model.sigma,
+                     feature_mean=model.feature_mean, feature_cov=model.feature_cov)
+    assert np.isfinite(huge.signal_factor).all()
+    np.testing.assert_allclose(huge.signal_factor, 1e200 * model.signal_factor,
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", list(sampler_models()))
+def test_s_block_matches_the_quadratic_form_moments(name):
+    """Mean and variance of s against the cumulants of the noncentral
+    quadratic form ||C z + d||^2, kappa_r = 2^(r-1) (r-1)!
+    (tr(A^r) + r d' A^(r-1) d) with A = C C'."""
+    model = sampler_models()[name]
+    gram, d = signal_gram(model)
+
+    def kappa(r):
+        power = np.linalg.matrix_power(gram, r - 1)
+        return 2.0 ** (r - 1) * math.factorial(r - 1) * (
+            np.trace(power @ gram) + r * (d @ power @ d))
+
+    s = np.concatenate([s_block(model, 5, b, BLOCK_SIZE) for b in range(4)])
+    n = s.size
+    mean, var = s.mean(), s.var(ddof=1)
+    k1, k2, k4 = d @ d + np.trace(gram), kappa(2), kappa(4)
+    if name == "point mass":
+        # s = 1 exactly, so a = 1/2 and every sum of squares cancels exactly
+        assert k2 == 0.0 and np.ptp(s) == 0.0 and s[0] == k1 == 1.0
+        assert estimate_q(model, McConfig(n_samples=n, seed=5)).std_error == 0.0
+        return
+    # Var of the sample variance is (kappa_4 + 2 kappa_2^2) / n to first order
+    assert abs(mean - k1) < 5.0 * math.sqrt(k2 / n)
+    assert abs(var - k2) < 5.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
+
+
+def test_sample_model_draws_one_normal_per_asset(monkeypatch):
+    # n = 2 assets and k = 3 features: two normals per sample, not three
+    shapes = []
+    normal_block = lcem._normal_block
+
+    def recording(seed, block_index, out):
+        shapes.append(out.shape)
+        return normal_block(seed, block_index, out)
+
+    monkeypatch.setattr(lcem, "_normal_block", recording)
+    model = sample_model()
+    compare_policies(model, McConfig(n_samples=BLOCK_SIZE + 17), 1.0)
+    s_block(model, 0, 0, 100)
+    assert shapes == [(BLOCK_SIZE, 2), (17, 2), (100, 2)]
+
+
 def plain_block_sums(model, seed, block_index, count):
     """Oracle: the ten sums of one block by the plain formula, with fresh
     arrays, samples along rows and einsum for the squared norms."""
     bitgen = np.random.Philox(key=seed, counter=block_index << 128)
-    z = np.random.Generator(bitgen).standard_normal((count, model.n_features))
+    z = np.random.Generator(bitgen).standard_normal((count, model.signal_factor.shape[1]))
     y = z @ model.signal_factor.T + model.signal_offset
     s = np.einsum("ij,ij->i", y, y)
     a = s / (1.0 + s)
@@ -438,6 +534,15 @@ STRONG_SIGNALS = {
     # the signal C z + d itself overflows in the matrix product
     "signal overflows": {"B": [[1e308]], "sigma": [[1.0]], "feature_mean": [1.0],
                          "feature_cov": [[1.0]]},
+    # the model's own products overflow: B m with n < k, and inv(L) B
+    "B m overflows": {"B": [[1.5e308, 1.5e308]], "sigma": [[1.0]],
+                      "feature_mean": [1.0, 1.0], "feature_cov": [[1, 0], [0, 1]]},
+    "inv(L) B overflows": {"B": [[1e308]], "sigma": [[1e-10]], "feature_mean": [1.0],
+                           "feature_cov": [[1.0]]},
+    # inv(L) B F overflows before the QR factorization of an n < k model
+    "C overflows before QR": {"B": [[1e308, 1e308, 1e308], [1.0, 2.0, 3.0]],
+                              "sigma": [[1e-10, 0], [0, 1]], "feature_mean": [0.0, 0.0, 0.0],
+                              "feature_cov": np.eye(3).tolist()},
 }
 
 
@@ -475,11 +580,8 @@ def test_conditional_vs_raw_return_sampling():
     report = compare_policies(model, cfg, risk_budget=1.0)
 
     rng = np.random.default_rng(99)
-    collected = []
-    for b, (start, stop) in enumerate(block_bounds(n)):
-        collected.append(feature_block(model, seed=21, block_index=b,
-                                       count=stop - start))
-    feats = np.vstack(collected)
+    z = rng.standard_normal((n, model.n_features))
+    feats = model.feature_mean + z @ model.feature_factor.T
     means = feats @ model.B.T
     s = np.einsum(
         "ij,ij->i", means, np.linalg.solve(model.sigma, means.T).T
