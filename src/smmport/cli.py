@@ -112,7 +112,7 @@ def _cmd_solve_discrete(args) -> str:
     from dataclasses import asdict
 
     from .market import DiscreteMarket, evaluate, q_of, smm_policy
-    from .moments import optimal_objective_value
+    from .moments import _optimum
 
     market = DiscreteMarket.from_dict(_load_json(args.market))
     objective = _objective_from_args(args)
@@ -122,6 +122,7 @@ def _cmd_solve_discrete(args) -> str:
         "objective": {"kind": args.objective, **asdict(objective)},
         "q": q_of(market),
     }
+    q_g, one_minus_q_g = out["q"], market._one_minus_q  # the pair the policy is scaled by
     if args.constraints:
         from .hedging import constraints_from_dict, solve_hedge
 
@@ -130,10 +131,10 @@ def _cmd_solve_discrete(args) -> str:
         out["q_g"] = sol.q_g
         out["spanned_q"] = sol.spanned_q
         out["multipliers"] = sol.multipliers.tolist()
-        out["optimal_objective"] = optimal_objective_value(sol.q_g, objective)
+        q_g, one_minus_q_g = sol.q_g, one_minus_q_g + sol.spanned_q
     else:
         policy = smm_policy(market, objective)
-        out["optimal_objective"] = optimal_objective_value(out["q"], objective)
+    out["optimal_objective"] = _optimum(q_g, one_minus_q_g, objective)[1]
     out["policy"] = policy.weights.tolist()
     out["summary"] = evaluate(market, policy, rfr=rfr).to_dict()
     return render_json(out)

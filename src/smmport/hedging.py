@@ -58,6 +58,7 @@ from .moments import (
     _fsum,
     _fsum_symmetric,
     _lock,
+    _optimum,
     _solve,
     _sym,
     scaling_constant,
@@ -226,7 +227,8 @@ def solve_hedge(
             f"internal: q_g + spanned_q = {q_g + spanned_q!r} differs from q = {q!r}"
         )
 
-    policy = unit.scaled(scaling_constant(q_g, objective))
+    # 1 - q_g = (1 - q) + spanned_q, a sum of nonnegative terms
+    policy = unit.scaled(_optimum(q_g, market._one_minus_q + spanned_q, objective)[0])
     sol = HedgeSolution(
         m_mat=m_mat, b_vec=b_vec, multipliers=multipliers,
         q_g=q_g, spanned_q=spanned_q,

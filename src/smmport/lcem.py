@@ -57,10 +57,10 @@ from .moments import (
     SharpeBudget,
     _as_array,
     _asymmetry,
-    _finite_scale,
     _fsum,
     _is_integer,
     _lock,
+    _optimum,
     _solve,
     _sym,
     _tri_solve,
@@ -399,6 +399,9 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     a_bar = a1 / n      # mean of s/(1+s): the q estimate
     b_bar = s1 / n      # mean of s: mean return of the unit covariance policy
     c_bar = s2 / n      # mean of s**2
+    # v = b_bar + c_bar - b_bar**2 below cancels where q rounds to 1 (B = 1e9,
+    # sigma = 1e-9 and a point-mass feature give 5.1e38 for 1e27), so sr_mp
+    # would be garbage: a carried 1 - q needs centered moments first
     if a_bar == 1.0:
         raise DegenerateMarket("signal too strong: the q estimate rounds to 1")
     if not math.isfinite(s4):
@@ -456,7 +459,8 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     rescale = McEstimate(value=rescale_val, std_error=rescale_se, n=n)
 
     smm_scale = scaling_constant(a_bar, budget)
-    mp_scale = _finite_scale(budget.risk_budget / math.sqrt(v), budget)
+    k = b_bar / (b_bar + c_bar)
+    mp_scale = _optimum(k * b_bar, v / (b_bar + c_bar), budget, k)[0]
     return LcemComparison(
         q=q_est, sr_smm=sr_smm, sr_mp=sr_mp, delta_sr=delta,
         rescale_std=rescale, smm_scale=smm_scale, mp_scale=mp_scale,

@@ -39,21 +39,17 @@ from .errors import (
     SmmError,
 )
 from .moments import (
-    Kelly,
-    MeanVariance,
     MomentPair,
     Objective,
     PerfSummary,
-    SharpeBudget,
-    _finite_scale,
     _floats,
     _fsum,
     _fsum_symmetric,
     _lock,
+    _optimum,
     _pair_stacks,
     _solve,
     _warn_asymmetric,
-    scaling_constant,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -149,7 +145,7 @@ class DiscreteMarket:
     they are, bit for bit, and ``states`` returns the given pairs.
     """
 
-    __slots__ = _STACKS + ("_states", "_q")
+    __slots__ = _STACKS + ("_states", "_q", "_one_minus_q")
 
     def __init__(self, states: Iterable[tuple[float, MomentPair]]):
         states = tuple((_probability(i, p), m) for i, (p, m) in enumerate(states))
@@ -185,7 +181,9 @@ class DiscreteMarket:
     def _from_stacks(cls, stacks: dict, asymmetry: np.ndarray) -> "DiscreteMarket":
         """The market of stacks that passed :func:`moments._pair_stacks`,
         with ``probs``: checks the probabilities, warns, solves, checks q
-        (:func:`q_of`) and locks. Every constructor ends here."""
+        (:func:`q_of`) and locks. Every constructor ends here. Its 1 - q is
+        sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s) = sum(p) - q: it keeps its
+        digits as q nears 1, and is off 1 - q by the sum(p) - 1 PROB_SUM_TOL allows."""
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
@@ -203,7 +201,7 @@ class DiscreteMarket:
         market = cls.__new__(cls)
         for name in _STACKS:
             setattr(market, name, _lock(stacks[name]))
-        market._states, market._q = None, q
+        market._states, market._q, market._one_minus_q = None, q, rest
         return market
 
     @property
@@ -339,22 +337,30 @@ def _per_state_vectors(x, market: DiscreteMarket, name: str) -> np.ndarray:
 def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSummary:
     """Unconditional performance of ``policy`` on ``market``.
 
-    mean = sum_s p_s mu_s' w_s and second moment = sum_s p_s w_s' A_s w_s;
-    the quadratic form is computed through the Cholesky factor of A_s so
-    it is nonnegative by construction. A second moment that overflows
-    raises :class:`DomainError`.
+    With L_s and K_s the Cholesky factors of A_s and Sigma_s: the mean
+    m = sum_s p_s mu_s' w_s, the second moment sum_s p_s ||L_s' w_s||^2, and
+    the variance sum_s p_s ||K_s' w_s||^2 + sum_s p_s (mu_s' w_s - m)^2, the
+    within-state risk plus the spread of the state means. Every term is
+    nonnegative. A second moment that overflows raises :class:`DomainError`.
     """
     w = _per_state_vectors(policy, market, "policy")
     y = np.einsum("sji,sj->si", market.chol_second, w)
-    terms = market.probs[:, None] * np.stack([
-        np.einsum("si,si->s", y, y), np.einsum("si,si->s", market.mu, w),
+    z = np.einsum("sji,sj->si", market.chol_sigma, w)
+    means = np.einsum("si,si->s", market.mu, w)
+    p = market.probs
+    terms = p[:, None] * np.stack([
+        np.einsum("si,si->s", y, y), means, np.einsum("si,si->s", z, z),
     ], axis=1)
-    # |mu_s' w_s| <= sqrt(w_s' A_s w_s): where every second-moment term is
-    # finite, so is every mean term
-    second, mean = _fsum(terms).tolist() if np.isfinite(terms[:, 0]).all() else (math.inf, 0.0)
+    # |mu_s' w_s| and ||L_s' w_s|| are at most sqrt(w_s' A_s w_s): where
+    # every second-moment term is finite, so is every other term
+    second, mean, within = (_fsum(terms).tolist() if np.isfinite(terms[:, 0]).all()
+                            else (math.inf, 0.0, 0.0))
     if not math.isfinite(second):
         raise DomainError("the policy's second moment overflows: its weights are too large")
-    return PerfSummary(mean=mean, second_moment=second, rfr=float(rfr))
+    # halved, each spread term is at most the second moment: none overflows
+    half = 0.5 * (means - mean)
+    variance = within + 4.0 * _fsum(p * half * half)
+    return PerfSummary(mean, second, float(rfr), _variance=variance)
 
 
 def q_of(market: DiscreteMarket) -> float:
@@ -364,14 +370,15 @@ def q_of(market: DiscreteMarket) -> float:
     and checked there against the rank-one-update form
     1 - sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s): a disagreement beyond
     ``Q_CONSISTENCY_TOL`` signals a numerically inconsistent market, and
-    no such market is built.
+    no such market is built. The market keeps that sum as its 1 - q.
     """
     return market._q
 
 
 def smm_policy(market: DiscreteMarket, objective: Objective) -> Policy:
-    """Optimal policy: per-state direction inv(A_s) mu_s, one overall scale."""
-    c = scaling_constant(q_of(market), objective)
+    """Optimal policy: per-state direction inv(A_s) mu_s, one overall scale
+    from q and the market's own 1 - q."""
+    c = _optimum(market._q, market._one_minus_q, objective)[0]
     return Policy(c * market.smm_directions)
 
 
@@ -381,30 +388,15 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
 
     Suboptimal in general: it misses the per-state down-levering of the
     second-moment direction. With zeta_s^2 = mu_s' inv(Sigma_s) mu_s, the
-    unit policy has mean E[zeta^2] and second moment E[zeta^2 (1 + zeta^2)].
+    unit policy has mean m = E[zeta^2], second moment s = E[zeta^2 (1 +
+    zeta^2)] and variance v, all from :func:`evaluate`.
     """
-    z = market.conditional_sharpe_sq
-    pz = market.probs * z
-    mean, second = _fsum(np.stack([pz, pz * (1.0 + z)], axis=1)).tolist()
-    summary = PerfSummary(mean=mean, second_moment=second)
-    if isinstance(objective, SharpeBudget):
-        if summary.risk == 0.0:
-            raise DegenerateMarket("unit covariance policy has zero risk")
-        c = _finite_scale(objective.risk_budget / summary.risk, objective)
-    elif isinstance(objective, MeanVariance):
-        if summary.variance == 0.0:
-            raise DegenerateMarket("unit covariance policy has zero variance")
-        # dividing first: mean / (2 variance) is at most 1/2, and
-        # risk_param * mean alone can overflow while the scale does not
-        c = _finite_scale(
-            objective.risk_param * (summary.mean / (2.0 * summary.variance)), objective
-        )
-    elif isinstance(objective, Kelly):
-        if summary.second_moment == 0.0:
-            raise DegenerateMarket("unit covariance policy has zero second moment")
-        c = summary.mean / summary.second_moment
-    else:
-        raise DomainError(f"unknown objective {objective!r}")
+    unit = evaluate(market, Policy(market.markowitz_directions))
+    if unit.second_moment == 0.0:
+        raise DegenerateMarket("unit covariance policy is zero: it has zero risk, "
+                               "zero variance and zero second moment")
+    k = unit.mean / unit.second_moment
+    c = _optimum(k * unit.mean, unit.variance / unit.second_moment, objective, k)[0]
     return Policy(c * market.markowitz_directions)
 
 

@@ -7,8 +7,9 @@ The two natural allocation directions satisfy
     inv(A) mu = inv(Sigma) mu / (1 + mu' inv(Sigma) mu),
 
 so the second-moment direction is a down-levered rescaling of the
-classical covariance direction. ``conditional_q`` is the squared Hansen
-ratio mu' inv(A) mu of the locally optimal allocation, and the
+classical covariance direction, and 1 - mu' inv(A) mu = 1 / (1 + mu'
+inv(Sigma) mu) keeps its digits as mu' inv(A) mu, ``conditional_q``, the
+squared Hansen ratio of the locally optimal allocation, nears 1. The
 ``Objective`` variants carry the scalars that turn a unit direction into
 a fully scaled policy.
 
@@ -25,8 +26,10 @@ those factors is a triangular substitution, forward (``_tri_solve``),
 back (``_back_solve``) or both (``_chol_solve``), each vectorized over a
 stack of factors and over the right-hand sides. Each step the modules
 share has one implementation here: ``_fsum`` every exact sum, ``_sym``
-every symmetrization, ``_warn_asymmetric`` every asymmetry warning, and
-``_solve`` every direction inv(A) mu with its ratio mu' inv(A) mu.
+every symmetrization, ``_warn_asymmetric`` every asymmetry warning,
+``_solve`` every direction inv(A) mu with its ratio mu' inv(A) mu, and
+``_optimum`` every policy scale and optimal objective value, the one
+ladder over the ``Objective`` variants.
 
 All types are immutable after construction and all functions are pure.
 """
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -407,73 +410,80 @@ class Kelly:
 Objective = SharpeBudget | MeanVariance | Kelly
 
 
-def _finite_scale(c: float, objective: SharpeBudget | MeanVariance) -> float:
-    """The policy scale ``c``; if it overflowed, a :class:`DomainError`
-    naming the risk parameter of ``objective`` that made it."""
-    if math.isfinite(c):
-        return c
-    name = "risk_budget" if isinstance(objective, SharpeBudget) else "risk_param"
-    raise DomainError(f"{name} {getattr(objective, name)!r} makes the policy scale overflow")
+def _optimum(h2: float, one_minus_h2: float, objective: Objective,
+             k: float = 1.0) -> tuple[float, float]:
+    """The one ladder over the objectives: the optimal scale and value of a
+    unit policy k times one with mean and second moment h2, given 1 - h2:
+    R k / sqrt(h2 (1 - h2)) and sqrt(h2 / (1 - h2)) - r_f / R (SharpeBudget),
+    lambda k / (2 (1 - h2)) and lambda h2 / (4 (1 - h2)) (MeanVariance), k
+    and h2 / 2 (Kelly). A unit policy of mean m, second moment s, variance v
+    has k = m / s <= 1, h2 = k m, 1 - h2 = v / s; k multiplies R or lambda
+    first, so only a scale past the float maximum overflows (DomainError)."""
+    if not one_minus_h2 > 0.0:
+        raise DegenerateMarket(f"signal too strong: 1 - q is {one_minus_h2!r}")
+    if isinstance(objective, Kelly):
+        return k, h2 / 2.0
+    if isinstance(objective, SharpeBudget):
+        if h2 == 0.0:
+            raise DegenerateMarket("no risky opportunity (q = 0): risk scaling undefined")
+        name = "risk_budget"
+        scale = objective.risk_budget * k / math.sqrt(h2 * one_minus_h2)
+        value = math.sqrt(h2 / one_minus_h2) - objective.risk_free / objective.risk_budget
+    elif isinstance(objective, MeanVariance):
+        name = "risk_param"
+        scale = objective.risk_param * k / (2.0 * one_minus_h2)
+        value = (objective.risk_param / 4.0) * h2 / one_minus_h2
+    else:
+        raise DomainError(f"unknown objective {objective!r}")
+    if not math.isfinite(scale):
+        raise DomainError(f"{name} {getattr(objective, name)!r} makes the policy scale overflow")
+    return scale, value
 
 
 def scaling_constant(q: float, objective: Objective) -> float:
-    """Scalar applied to the unit second-moment policy to solve ``objective``.
-
-    The unit policy has unconditional mean and second moment both equal to
-    q, hence variance q - q**2. The objective-specific optima are
-
-    * SharpeBudget: R / sqrt(q - q**2), saturating the risk budget,
-    * MeanVariance: lambda / (2 (1 - q)),
-    * Kelly: 1 (hold the unscaled policy).
-
-    A scale that overflows raises :class:`DomainError` naming the risk
-    parameter.
+    """Scalar applied to the unit second-moment policy, whose mean and second
+    moment are both q, to solve ``objective``: R / sqrt(q - q**2) for a
+    Sharpe budget, lambda / (2 (1 - q)) for mean-variance, 1 for Kelly.
+    1 - q is formed by subtraction (``smm_policy`` takes a market's own). A
+    scale that overflows raises :class:`DomainError` naming the parameter.
     """
     q = float(q)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q must lie in [0, 1), got {q}")
-    if isinstance(objective, SharpeBudget):
-        if q == 0.0:
-            raise DegenerateMarket(
-                "no risky opportunity (q = 0): risk scaling undefined"
-            )
-        return _finite_scale(objective.risk_budget / math.sqrt(q * (1.0 - q)), objective)
-    if isinstance(objective, MeanVariance):
-        return _finite_scale(objective.risk_param / (2.0 * (1.0 - q)), objective)
-    if isinstance(objective, Kelly):
-        return 1.0
-    raise DomainError(f"unknown objective {objective!r}")
+    return _optimum(q, 1.0 - q, objective)[0]
 
 
 def optimal_objective_value(q: float, objective: Objective) -> float:
-    """Value of ``objective`` attained by the optimally scaled policy."""
+    """Value of ``objective`` attained by the optimally scaled policy, with
+    1 - q formed by subtraction. At q = 0 no policy meets a Sharpe budget;
+    the value is then the zero policy's, -risk_free / risk_budget."""
     q = float(q)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q must lie in [0, 1), got {q}")
-    if isinstance(objective, SharpeBudget):
-        return math.sqrt(q / (1.0 - q)) - objective.risk_free / objective.risk_budget
-    if isinstance(objective, MeanVariance):
-        return (objective.risk_param / 4.0) * q / (1.0 - q)
-    if isinstance(objective, Kelly):
-        return q / 2.0
-    raise DomainError(f"unknown objective {objective!r}")
+    try:
+        return _optimum(q, 1.0 - q, objective)[1]
+    except DegenerateMarket:
+        return -objective.risk_free / objective.risk_budget
 
 
 @dataclass(frozen=True)
 class PerfSummary:
     """Unconditional performance of a policy.
 
-    ``variance``, ``risk``, ``hansen`` and ``sharpe`` are derived from the
-    stored mean and second moment; ``rfr`` is the risk-free rate the
-    Sharpe ratio is quoted against.
+    ``risk`` and ``sharpe`` come from the mean and the stored variance (or
+    second_moment - mean**2 if none is stored), ``hansen`` from the mean and
+    second moment; ``rfr`` is the risk-free rate of the Sharpe ratio.
     """
 
     mean: float
     second_moment: float
     rfr: float = 0.0
+    _variance: float | None = field(default=None, repr=False)
 
     @property
     def variance(self) -> float:
+        if self._variance is not None:
+            return self._variance
         # mean * mean is correctly rounded (mean**2 is the C library's pow,
         # which can be one ulp off); past the float maximum it is inf
         return max(self.second_moment - self.mean * self.mean, 0.0)

@@ -1,0 +1,244 @@
+"""Forward error where q nears 1, against 50-digit mpmath, and the policy
+scales over random markets.
+
+A market carries q and, from the other side of Sherman-Morrison, its
+1 - q = sum_s p_s / (1 + zeta_s^2), a sum of positive terms; every policy
+scale and optimal objective value comes from that pair, and ``evaluate``
+sums its variance from nonnegative terms. So neither is formed by a
+subtraction that cancels as q nears 1. The one-asset, two-state markets
+below have conditional Sharpe zeta in both states; at zeta = 1e8 every
+conditional q rounds to 1.0, and every objective must still solve.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from smmport import (
+    DiscreteMarket,
+    Kelly,
+    MeanVariance,
+    PerfSummary,
+    SharpeBudget,
+    evaluate,
+    markowitz_policy,
+    q_of,
+    smm_policy,
+)
+from smmport.cli import main
+
+mpmath = pytest.importorskip("mpmath")
+
+EPS = float(np.finfo(float).eps)
+RTOL = 1e-14
+ZETAS = [1e2, 1e4, 1e6, 1e7, 1e8]
+OBJECTIVES = {
+    "sharpe": (SharpeBudget(risk_budget=2.0, risk_free=0.01),
+               ["--risk-budget", "2", "--risk-free", "0.01"]),
+    "mean-variance": (MeanVariance(risk_param=3.0), ["--risk-param", "3"]),
+    "kelly": (Kelly(), []),
+}
+
+
+def zeta_states(zeta):
+    return [{"prob": 0.5, "mu": [1.0], "sigma": [[1.0 / zeta / zeta]]},
+            {"prob": 0.5, "mu": [0.5], "sigma": [[0.25 / zeta / zeta]]}]
+
+
+# the raw constraint removes the second state, whose probability is 2**-43:
+# q_g is the first state's p q_1, and 1 - q_g = p (1 - q_1) + 2**-43 ~ 1.1e-13
+HEDGED_STATES = [{"prob": 1.0 - 2.0 ** -43, "mu": [1.0], "sigma": [[1e-16]]},
+                 {"prob": 2.0 ** -43, "mu": [1.0], "sigma": [[1.0]]}]
+HEDGED_CONSTRAINTS = {"constraints": [{"kind": "raw", "g": [[0.0], [1.0]]}]}
+
+
+def rel(got, want):
+    return abs(mpmath.mpf(got) - want) / abs(want)
+
+
+def exact_moments(states, weights):
+    """mpmath mean and variance of the float ``weights`` on one-asset
+    ``states`` (probabilities summing to exactly 1), the pair (q, 1 - q)
+    and each state's direction inv(A_s) mu_s."""
+    with mpmath.workdps(50):
+        p, mu, sigma = ([mpmath.mpf(np.ravel(s[key])[0]) for s in states]
+                         for key in ("prob", "mu", "sigma"))
+        a = [s + m * m for s, m in zip(sigma, mu)]
+        w = [mpmath.mpf(x[0]) for x in weights]
+        mean = sum(pi * mi * wi for pi, mi, wi in zip(p, mu, w))
+        second = sum(pi * ai * wi * wi for pi, ai, wi in zip(p, a, w))
+        q = sum(pi * mi * mi / ai for pi, mi, ai in zip(p, mu, a))
+        one_minus_q = sum(pi * si / ai for pi, si, ai in zip(p, sigma, a))
+        return mean, second - mean * mean, q, one_minus_q, [m / x for m, x in zip(mu, a)]
+
+
+def exact_optimum(q, one_minus_q, objective):
+    """The optimal scale and value of the unit second-moment policy."""
+    with mpmath.workdps(50):
+        if isinstance(objective, SharpeBudget):
+            return (objective.risk_budget / mpmath.sqrt(q * one_minus_q),
+                    mpmath.sqrt(q / one_minus_q)
+                    - mpmath.mpf(objective.risk_free) / objective.risk_budget)
+        if isinstance(objective, MeanVariance):
+            return (objective.risk_param / (2 * one_minus_q),
+                    objective.risk_param * q / (4 * one_minus_q))
+        return mpmath.mpf(1), q / 2
+
+
+def solve(capsys, tmp_path, states, name, constraints=None):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps({"states": states}))
+    argv = ["solve-discrete", "--market", str(path), "--objective", name, *OBJECTIVES[name][1]]
+    if constraints is not None:
+        cpath = tmp_path / "constraints.json"
+        cpath.write_text(json.dumps(constraints))
+        argv += ["--constraints", str(cpath)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "NaN" not in out and "Infinity" not in out
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+def test_market_carries_one_minus_q(zeta):
+    market = DiscreteMarket.from_dict({"states": zeta_states(zeta)})
+    _, _, q, one_minus_q, _ = exact_moments(zeta_states(zeta), [[0.0], [0.0]])
+    assert rel(market._one_minus_q, one_minus_q) <= RTOL
+    assert rel(q_of(market), q) <= RTOL
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+@pytest.mark.parametrize("zeta", ZETAS)
+def test_scale_value_and_summary_against_mpmath(capsys, tmp_path, zeta, name):
+    states = zeta_states(zeta)
+    out = solve(capsys, tmp_path, states, name)
+    objective = OBJECTIVES[name][0]
+    mean, variance, q, one_minus_q, directions = exact_moments(states, out["policy"])
+    scale, value = exact_optimum(q, one_minus_q, objective)
+    assert rel(out["optimal_objective"], value) <= RTOL
+    for got, direction in zip(out["policy"], directions):
+        assert rel(got[0], scale * direction) <= RTOL
+    summary = out["summary"]
+    assert rel(summary["variance"], variance) <= RTOL
+    assert rel(summary["sharpe"], (mean - summary["rfr"]) / mpmath.sqrt(variance)) <= RTOL
+    if name == "kelly":
+        market = DiscreteMarket.from_dict({"states": states})
+        assert np.array(out["policy"], dtype=float).tobytes() == market.smm_directions.tobytes()
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_hedged_market_with_q_g_near_one(capsys, tmp_path, name):
+    out = solve(capsys, tmp_path, HEDGED_STATES, name, HEDGED_CONSTRAINTS)
+    objective = OBJECTIVES[name][0]
+    p1, p2 = (mpmath.mpf(s["prob"]) for s in HEDGED_STATES)
+    with mpmath.workdps(50):
+        a1 = mpmath.mpf(1e-16) + 1
+        q_g, one_minus_q_g = p1 / a1, p1 * mpmath.mpf(1e-16) / a1 + p2
+    assert 0.0 < 1.0 - out["q_g"] < 1e-12
+    assert rel(out["q_g"], q_g) <= RTOL
+    assert rel(out["spanned_q"], p2 / 2) <= RTOL
+    scale, value = exact_optimum(q_g, one_minus_q_g, objective)
+    assert rel(out["optimal_objective"], value) <= RTOL
+    assert rel(out["policy"][0][0], scale / a1) <= RTOL
+    mean, variance, _, _, _ = exact_moments(HEDGED_STATES, out["policy"])
+    summary = out["summary"]
+    assert rel(summary["variance"], variance) <= RTOL
+    assert rel(summary["sharpe"], (mean - summary["rfr"]) / mpmath.sqrt(variance)) <= RTOL
+
+
+# --- random markets ------------------------------------------------------
+
+# Reference ladders that form 1 - q, or the variance, by subtraction: the
+# scales and values must match them within that subtraction's error.
+
+
+def reference_scaling_constant(q, objective):
+    if isinstance(objective, SharpeBudget):
+        return objective.risk_budget / math.sqrt(q * (1.0 - q))
+    if isinstance(objective, MeanVariance):
+        return objective.risk_param / (2.0 * (1.0 - q))
+    return 1.0
+
+
+def reference_optimal_objective_value(q, objective):
+    if isinstance(objective, SharpeBudget):
+        return math.sqrt(q / (1.0 - q)) - objective.risk_free / objective.risk_budget
+    if isinstance(objective, MeanVariance):
+        return (objective.risk_param / 4.0) * q / (1.0 - q)
+    return q / 2.0
+
+
+def reference_markowitz_scale(summary, objective):
+    if isinstance(objective, SharpeBudget):
+        return objective.risk_budget / summary.risk
+    if isinstance(objective, MeanVariance):
+        return objective.risk_param * (summary.mean / (2.0 * summary.variance))
+    return summary.mean / summary.second_moment
+
+
+def random_exact_market(draw, st):
+    """A market whose probabilities sum to exactly 1 and whose states, given
+    by covariance or by second moment at random, are the same pair either
+    way: every entry is a short dyadic number, so Sigma + mu mu' is exact."""
+    n, s = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=s - 1, max_size=s - 1)))
+    probs = np.diff([0, *cuts, 64]) / 64.0
+    lower, mu = np.zeros((s, n, n)), np.zeros((s, n))
+    for state in range(s):
+        for i in range(n):
+            lower[state, i, :i] = [draw(st.integers(-8, 8)) / 8.0 for _ in range(i)]
+            lower[state, i, i] = draw(st.integers(8, 16)) / 8.0
+        exponent = draw(st.integers(0, 12))
+        mu[state] = [np.ldexp(draw(st.integers(-1024, 1024)), -exponent) for _ in range(n)]
+    sigma = lower @ np.swapaxes(lower, 1, 2)
+    given = np.array([draw(st.booleans()) for _ in range(s)])
+    mats = np.where(given[:, None, None], sigma + mu[:, :, None] * mu[:, None, :], sigma)
+    return DiscreteMarket.from_arrays(probs, mu, mats, given)
+
+
+def test_policy_scales_over_random_markets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from smmport.moments import _optimum
+    objectives = [SharpeBudget(risk_budget=1.5, risk_free=0.02), MeanVariance(2.0), Kelly()]
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        market = random_exact_market(data.draw, st)
+        q = q_of(market)
+        zeta = np.sqrt(market.conditional_sharpe_sq)
+        hypothesis.assume(q > 0.0 and zeta.max() <= 1e3)
+        budget = objectives[0]
+        excess = budget.risk_free / budget.risk_budget
+        smm = evaluate(market, smm_policy(market, budget), rfr=budget.risk_free)
+        value = _optimum(q, market._one_minus_q, budget)[1]
+        assert abs(smm.risk - budget.risk_budget) <= RTOL * budget.risk_budget
+        # both are sqrt(q / (1 - q)) less r_f / R
+        assert abs(smm.sharpe - value) <= RTOL * (value + 2 * excess)
+        # down-levering: the covariance policy's Sharpe is at most the
+        # second-moment policy's (equal up to rounding on one state)
+        mp = evaluate(market, markowitz_policy(market, budget), rfr=budget.risk_free)
+        assert mp.sharpe <= smm.sharpe + 8 * EPS * (abs(smm.sharpe) + excess)
+
+        # the references' own error is their subtraction's, eps / (1 - q)
+        tol = 4 * EPS / (1.0 - q)
+        z = market.conditional_sharpe_sq
+        mean = math.fsum(market.probs * z)
+        unit = PerfSummary(mean, math.fsum(market.probs * z * (1.0 + z)))
+        mp_tol = 4 * EPS * unit.second_moment / unit.variance
+        for objective, shift in zip(objectives, (excess, 0.0, 0.0)):
+            got = smm_policy(market, objective).weights
+            want = reference_scaling_constant(q, objective) * market.smm_directions
+            np.testing.assert_allclose(got, want, rtol=tol + 2 * EPS, atol=0)
+            got_value = _optimum(q, market._one_minus_q, objective)[1]
+            want_value = reference_optimal_objective_value(q, objective)
+            assert abs(got_value - want_value) <= tol * (want_value + shift)
+            got = markowitz_policy(market, objective).weights
+            want = reference_markowitz_scale(unit, objective) * market.markowitz_directions
+            np.testing.assert_allclose(got, want, rtol=mp_tol + 8 * EPS, atol=0)
+
+    check()

@@ -186,7 +186,7 @@ def test_sum_overflow_is_a_named_error_on_the_cli(capsys, tmp_path):
     # the two second-moment terms sum past the float maximum
     states = [{"prob": 0.5, "mu": [1.0], "sigma": [[1.0]]},
               {"prob": 0.5000000000009, "mu": [1.0], "sigma": [[1.0]]}]
-    rc, out, err = run_cli(capsys, "solve-discrete", "--risk-budget", "9.480751908107e+153",
+    rc, out, err = run_cli(capsys, "solve-discrete", "--risk-budget", "9.480751908115e+153",
                            "--market", write_market(tmp_path, states))
     assert (rc, out) == (2, "")
     assert err == "error: the policy's second moment overflows: its weights are too large\n"
