@@ -45,6 +45,7 @@ from .market import (
     Policy,
     _EPS,
     _per_state_vectors,
+    _second_moment,
     evaluate,
     q_of,
     smm_policy,
@@ -216,7 +217,7 @@ def solve_hedge(
     # of nonnegative terms; q - spanned_q would cancel when the
     # constraints nearly span mu
     unit = Policy(market.smm_directions + x @ multipliers)
-    q_g = evaluate(market, unit).second_moment
+    q_g = _second_moment(market, unit.weights)
     # spanned_q inherits the rounding of M, which grows with M's condition
     # as about J eps |c|'|M||c| (at most a quarter of that on 1,190 random
     # systems up to cond 1e12); the check allows four times that on top

@@ -34,13 +34,19 @@ buffers, allocated at its first block and reused by the rest of its run.
 Sampling contract
 -----------------
 The normals z are drawn in fixed blocks of ``BLOCK_SIZE`` samples, r
-per sample. Block b uses a Philox counter-based generator keyed by the
-seed with its counter advanced to block b's private range, so the draws
-for a block depend only on (seed, b). Per-block partial sums are
-combined across blocks with exact summation. The blocks are split into
-contiguous runs, one per worker thread; there are at most ``n_streams``
-workers and one per CPU.
-Estimates are bit-identical for any ``n_streams`` and any scheduling.
+per sample. Block b draws from numpy's SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(b,))``, the child b of
+``SeedSequence(seed).spawn``, so the draws for a block depend only on
+(seed, b). This is numpy's documented way to make parallel streams:
+distinct (seed, b) hash to distinct states, and each SFC64 stream has a
+period of at least 2**64. Unlike the disjoint counter ranges of a
+counter-based generator, this is no proof that two streams never
+overlap; it makes an overlap within any practical run astronomically
+unlikely, and SFC64 is the cheaper generator per normal. Per-block
+partial sums are combined across blocks with exact summation. The blocks
+are split into contiguous runs, one per worker thread; there are at most
+``n_streams`` workers and one per CPU. Estimates are bit-identical for
+any ``n_streams`` and any scheduling.
 """
 
 from __future__ import annotations
@@ -246,8 +252,8 @@ def _normal_block(seed: int, block_index: int, out: np.ndarray) -> np.ndarray:
     """Fill ``out``, C-contiguous with one row per sample, with the standard
     normal draws z behind block ``block_index``: the sampling contract of
     the module docstring. Returns ``out``."""
-    bitgen = np.random.Philox(key=seed, counter=block_index << 128)
-    return np.random.Generator(bitgen).standard_normal(out=out)
+    child = np.random.SeedSequence(seed, spawn_key=(block_index,))
+    return np.random.Generator(np.random.SFC64(child)).standard_normal(out=out)
 
 
 def _signal_norms(model: LcemModel, seed: int, block_index: int,

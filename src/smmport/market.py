@@ -189,7 +189,13 @@ class DiscreteMarket:
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
             _warn_asymmetric(f"state {i}: {name}", asymmetry[i])
         mu, chol_sigma, chol_second = stacks["mu"], stacks["chol_sigma"], stacks["chol_second"]
-        stacks["markowitz_directions"], stacks["conditional_sharpe_sq"] = _solve(chol_sigma, mu)
+        # a state whose mu' inv(Sigma) mu passes the float maximum gets inf
+        # here, silently, and adds 0 to 1 - q; the steps that use it name
+        # it (_optimum a market with no 1 - q left, markowitz_policy the
+        # state's non-finite direction)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacks["markowitz_directions"], stacks["conditional_sharpe_sq"] = _solve(
+                chol_sigma, mu)
         stacks["smm_directions"], stacks["conditional_q"] = _solve(chol_second, mu)
         p = stacks["probs"]
         q, rest = _fsum(np.stack([
@@ -344,23 +350,31 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     nonnegative. A second moment that overflows raises :class:`DomainError`.
     """
     w = _per_state_vectors(policy, market, "policy")
-    y = np.einsum("sji,sj->si", market.chol_second, w)
+    second = _second_moment(market, w)
     z = np.einsum("sji,sj->si", market.chol_sigma, w)
     means = np.einsum("si,si->s", market.mu, w)
     p = market.probs
-    terms = p[:, None] * np.stack([
-        np.einsum("si,si->s", y, y), means, np.einsum("si,si->s", z, z),
-    ], axis=1)
-    # |mu_s' w_s| and ||L_s' w_s|| are at most sqrt(w_s' A_s w_s): where
-    # every second-moment term is finite, so is every other term
-    second, mean, within = (_fsum(terms).tolist() if np.isfinite(terms[:, 0]).all()
-                            else (math.inf, 0.0, 0.0))
-    if not math.isfinite(second):
-        raise DomainError("the policy's second moment overflows: its weights are too large")
+    # |mu_s' w_s| and ||K_s' w_s|| are at most sqrt(w_s' A_s w_s): with
+    # every second-moment term finite, so is every term here
+    mean, within = _fsum(p[:, None] * np.stack([means, np.einsum("si,si->s", z, z)],
+                                               axis=1)).tolist()
     # halved, each spread term is at most the second moment: none overflows
     half = 0.5 * (means - mean)
     variance = within + 4.0 * _fsum(p * half * half)
     return PerfSummary(mean, second, float(rfr), _variance=variance)
+
+
+def _second_moment(market: DiscreteMarket, w: np.ndarray) -> float:
+    """sum_s p_s ||L_s' w_s||^2 for per-state weights ``w`` (S, n), L_s
+    the Cholesky factor of A_s: the second moment of :func:`evaluate`,
+    which ``solve_hedge`` takes as q_g. One that overflows raises
+    :class:`DomainError`."""
+    y = np.einsum("sji,sj->si", market.chol_second, w)
+    terms = market.probs * np.einsum("si,si->s", y, y)
+    second = _fsum(terms) if np.isfinite(terms).all() else math.inf
+    if not math.isfinite(second):
+        raise DomainError("the policy's second moment overflows: its weights are too large")
+    return second
 
 
 def q_of(market: DiscreteMarket) -> float:

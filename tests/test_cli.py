@@ -341,6 +341,22 @@ def test_policy_second_moment_overflow(
     assert err == "error: the policy's second moment overflows: its weights are too large\n"
 
 
+@pytest.mark.parametrize("objective", ["sharpe", "kelly", "mean-variance"])
+def test_overflowing_conditional_sharpe_is_one_error_line(tmp_path, objective):
+    # mu' inv(Sigma) mu is 1e500; in a process where every warning is an
+    # error, the market build must still reach the one error line
+    path = write_json(tmp_path / "market.json", {"states": [
+        {"prob": 1.0, "mu": [1e150], "sigma": [[1e-200]]}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smmport.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "smmport", "solve-discrete",
+                          "--market", path, "--objective", objective],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "error: signal too strong: 1 - q is 0.0\n"
+
+
 def test_simulate_lcem_needs_two_samples(capsys, lcem_model_path):
     rc, out, err = run_cli(capsys, "simulate-lcem", "--model", lcem_model_path, "--n", "1")
     assert rc == 2 and out == ""

@@ -29,6 +29,7 @@ from smmport import (
 from smmport import DiscreteMarket
 from smmport.hedging import CONDITION_LIMIT
 from smmport.market import Q_CONSISTENCY_TOL
+from smmport.moments import _chol_solve
 from conftest import random_market
 
 
@@ -498,6 +499,38 @@ def test_ill_conditioned_constraints_are_not_rejected(seed):
     _, sol = solve_hedge(market, constraints, Kelly())
     assert 1e9 < np.linalg.cond(sol.m_mat) < CONDITION_LIMIT
     assert 0.0 < sol.q_g < q_of(market)
+
+
+def test_q_g_is_the_unit_policy_second_moment_bit_for_bit():
+    """q_g is the second moment of the unit policy inv(A)(mu + G c), summed
+    as evaluate sums it: the same bits on random markets."""
+    rng = np.random.default_rng(33)
+    checked = 0
+    for _ in range(40):
+        market = random_market(rng, n_assets=int(rng.integers(1, 5)),
+                               n_states=int(rng.integers(2, 30)))
+        constraints = random_constraints(rng, market, int(rng.integers(1, 3)))
+        try:
+            _, sol = solve_hedge(market, constraints, Kelly())
+        except SingularConstraintSystem:
+            continue
+        g = np.stack([con.g for con in constraints], axis=-1)
+        unit = market.smm_directions + _chol_solve(market.chol_second, g) @ sol.multipliers
+        assert sol.q_g == evaluate(market, Policy(unit)).second_moment
+        checked += 1
+    assert checked >= 30
+
+
+def test_q_g_overflow_is_the_second_moment_error(monkeypatch):
+    # multipliers of 1e200 give finite unit weights whose second moment
+    # passes the float maximum
+    rng = np.random.default_rng(12)
+    market = random_market(rng, n_assets=3, n_states=5)
+    constraints = random_constraints(rng, market, 1)
+    monkeypatch.setattr(np.linalg, "solve", lambda m, b: np.full_like(b, 1e200))
+    with pytest.raises(DomainError, match="^the policy's second moment overflows: "
+                                          "its weights are too large$"):
+        solve_hedge(market, constraints, Kelly())
 
 
 def test_wrong_multipliers_fail_the_split_check(monkeypatch):

@@ -382,8 +382,9 @@ def test_sample_model_draws_one_normal_per_asset(monkeypatch):
 def plain_block_sums(model, seed, block_index, count):
     """Oracle: the ten sums of one block by the plain formula, with fresh
     arrays, samples along rows and einsum for the squared norms."""
-    bitgen = np.random.Philox(key=seed, counter=block_index << 128)
-    z = np.random.Generator(bitgen).standard_normal((count, model.signal_factor.shape[1]))
+    child = np.random.SeedSequence(seed).spawn(block_index + 1)[block_index]
+    z = np.random.Generator(np.random.SFC64(child)).standard_normal(
+        (count, model.signal_factor.shape[1]))
     y = z @ model.signal_factor.T + model.signal_offset
     s = np.einsum("ij,ij->i", y, y)
     a = s / (1.0 + s)
@@ -395,6 +396,45 @@ def plain_block_sums(model, seed, block_index, count):
 def sample_model():
     with open(SAMPLE_DIR / "lcem_model.json") as fh:
         return LcemModel.from_dict(json.load(fh))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("block_index", [0, 1, 30])
+def test_normal_block_is_the_spawned_child_driving_sfc64(block_index, seed):
+    # the sampling contract, pinned to numpy's documented SeedSequence.spawn
+    out = np.empty((100, 3))
+    assert lcem._normal_block(seed, block_index, out) is out
+    child = np.random.SeedSequence(seed).spawn(block_index + 1)[block_index]
+    want = np.random.Generator(np.random.SFC64(child)).standard_normal((100, 3))
+    assert np.array_equal(out, want)
+
+
+def test_normal_blocks_differ_across_seeds_and_block_indices():
+    keys = [(seed, b) for seed in (0, 1, 2**64 - 1) for b in (0, 1, 30)]
+    firsts = [float(lcem._normal_block(seed, b, np.empty(1))[0]) for seed, b in keys]
+    assert len(set(firsts)) == len(keys)
+
+
+# Exact values for sample_inputs/lcem_model.json, from Gauss-Laguerre
+# quadrature of the Laplace transform of s (ROADMAP direction 4).
+LCEM_EXACT = {
+    "q": 0.0238058609783649,
+    "sr_smm": 0.156161455654240,
+    "sr_mp": 0.156124032660810,
+    "delta_sr": 3.74229934e-5,
+    "rescale_std": 0.0181261423,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_compare_policies_within_five_standard_errors_of_exact(seed):
+    # the study's sample size: a generator whose normals are off in law
+    # moves some estimate by many of its standard errors
+    report = compare_policies(sample_model(), McConfig(n_samples=2_000_000, seed=seed), 1.0)
+    for key, exact in LCEM_EXACT.items():
+        est = getattr(report, key)
+        assert est.std_error > 0.0
+        assert abs(est.value - exact) < 5.0 * est.std_error, (key, est)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -431,10 +471,11 @@ def test_block_sums_match_the_plain_formula_on_random_models(n_assets):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_compare_policies_bitwise_equal_across_workers(monkeypatch, workers):
-    # more cores than the host may have, so that each worker count runs
+    # more cores than the host may have, so that each worker count runs;
+    # the last of the four blocks is five samples long
     monkeypatch.setattr(lcem.os, "cpu_count", lambda: workers)
     model = sample_model()
-    cfg = McConfig(n_samples=3 * BLOCK_SIZE + 17, seed=5)
+    cfg = McConfig(n_samples=3 * BLOCK_SIZE + 5, seed=5)
     threaded = McConfig(n_samples=cfg.n_samples, seed=5, n_streams=workers)
     assert (compare_policies(model, threaded, 1.0).to_dict()
             == compare_policies(model, cfg, 1.0).to_dict())

@@ -233,6 +233,18 @@ def test_evaluate_rejects_overflowing_second_moment(two_state_market, objective)
         evaluate(two_state_market, policy)
 
 
+def test_overflowing_conditional_sharpe_builds_without_warning():
+    # mu' inv(Sigma) mu is 1e500 in the first state: its term of 1 - q is
+    # 0, and the build warns nothing (a RuntimeWarning fails this suite)
+    big = MomentPair.from_covariance([1e150], [[1e-200]])
+    market = DiscreteMarket([(0.5, big), (0.5, MomentPair.from_covariance([1.0], [[1.0]]))])
+    assert market.conditional_sharpe_sq[0] == math.inf
+    assert (q_of(market), market._one_minus_q) == (0.75, 0.25)
+    for objective in (SharpeBudget(), MeanVariance(risk_param=1.0), Kelly()):
+        with pytest.raises(DegenerateMarket, match=r"^signal too strong: 1 - q is 0\.0$"):
+            smm_policy(DiscreteMarket([(1.0, big)]), objective)
+
+
 def test_markowitz_policy_known_values(two_state_market):
     policy = markowitz_policy(two_state_market, SharpeBudget(risk_budget=1.0))
     np.testing.assert_allclose(policy.weights[0], [0.5, 0.5], rtol=1e-12)
