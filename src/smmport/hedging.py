@@ -241,7 +241,9 @@ def hedging_example_c1(market: DiscreteMarket, target) -> float:
     """Closed-form multiplier for a single zero-covariance hedge.
 
     Expressed purely through the scalars <w, mu>, <w, A w> and
-    q = <mu, inv(A) mu>; must agree with the J=1 linear-system solve.
+    q = <mu, inv(A) mu>, with the market's own 1 - q in the numerator, so
+    it keeps its digits as q nears 1; must agree with the J=1
+    linear-system solve.
     """
     w = _per_state_vectors(target, market, "target")
     moments = evaluate(market, Policy(w))
@@ -251,7 +253,7 @@ def hedging_example_c1(market: DiscreteMarket, target) -> float:
     denom = waw - 2.0 * wm2 + wm2 * q
     if denom == 0.0:
         raise SingularConstraintSystem("hedge target yields a zero constraint")
-    return -(wm - wm * q) / denom
+    return -wm * market._one_minus_q / denom
 
 
 def optimize_basis(

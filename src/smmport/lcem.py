@@ -24,12 +24,17 @@ G comes from the QR factorization C' = Q R as R' with its diagonal made
 nonnegative, so C C' is never formed and a rank-deficient C needs no
 special case.
 
-``LcemModel`` computes the factor and d once, at construction, so a
-block of count samples costs one normal draw into a reused buffer, one
-(n x r)(r x count) product giving the signal with one asset per row,
-and the squares of those n rows summed: features are never formed and
-nothing is solved per sample. Each worker thread owns one set of
-buffers, allocated at its first block and reused by the rest of its run.
+``LcemModel`` computes the factor and d once, at construction. A block
+is then processed in chunks of at most 2**14 samples, each in one pass
+over buffers small enough to stay in a core's cache: the chunk's normals
+are drawn into a reused buffer, one (n x r)(r x count) product gives the
+signal with one asset per row, the squares of those n rows summed give
+s, and the ten statistic sums come from numpy's own reductions. None of
+them is a BLAS call, whose sums split across threads and so round by
+the BLAS thread count. Features are never formed and nothing is solved
+per sample. Each worker thread owns one set of buffers, about 1 MB for
+the sample model, allocated at its first block and reused by the rest
+of its run.
 
 Sampling contract
 -----------------
@@ -42,11 +47,14 @@ distinct (seed, b) hash to distinct states, and each SFC64 stream has a
 period of at least 2**64. Unlike the disjoint counter ranges of a
 counter-based generator, this is no proof that two streams never
 overlap; it makes an overlap within any practical run astronomically
-unlikely, and SFC64 is the cheaper generator per normal. Per-block
-partial sums are combined across blocks with exact summation. The blocks
-are split into contiguous runs, one per worker thread; there are at most
-``n_streams`` workers and one per CPU. Estimates are bit-identical for
-any ``n_streams`` and any scheduling.
+unlikely, and SFC64 is the cheaper generator per normal. A block's
+chunks are drawn in turn from its one generator, so their draws, and the
+s values, are those of one fill of the block. Partial sums are merged
+exactly, the chunks' within a block and the blocks' across the run. The
+blocks are split into contiguous runs, one per worker thread; there are
+at most ``n_streams`` workers and one per CPU. Estimates are
+bit-identical for any ``n_streams``, any scheduling and any BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -75,6 +83,10 @@ from .moments import (
 )
 
 BLOCK_SIZE = 1 << 16
+# Samples per pass of _block_sums, whose buffers then stay in a core's
+# cache, and per einsum accumulation within a pass.
+_CHUNK = 1 << 14
+_TILE = 128
 
 
 class LcemModel:
@@ -248,22 +260,27 @@ def block_bounds(n_samples: int) -> list[tuple[int, int]]:
     ]
 
 
+def _block_generator(seed: int, block_index: int) -> np.random.Generator:
+    """The generator behind block ``block_index``: SFC64 seeded by child
+    ``block_index`` of ``SeedSequence(seed)``, the sampling contract of the
+    module docstring."""
+    child = np.random.SeedSequence(seed, spawn_key=(block_index,))
+    return np.random.Generator(np.random.SFC64(child))
+
+
 def _normal_block(seed: int, block_index: int, out: np.ndarray) -> np.ndarray:
     """Fill ``out``, C-contiguous with one row per sample, with the standard
-    normal draws z behind block ``block_index``: the sampling contract of
-    the module docstring. Returns ``out``."""
-    child = np.random.SeedSequence(seed, spawn_key=(block_index,))
-    return np.random.Generator(np.random.SFC64(child)).standard_normal(out=out)
+    normal draws z behind block ``block_index`` in one call. Returns ``out``."""
+    return _block_generator(seed, block_index).standard_normal(out=out)
 
 
-def _signal_norms(model: LcemModel, seed: int, block_index: int,
-                  z: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Fill ``s`` with ||G z + d||^2 for the draws z (count x r) of block
-    ``block_index``, G the model's ``signal_factor``, forming the signal
-    G z + d in ``y`` one asset per row (n x count), so every step runs
-    along contiguous samples. A huge signal overflows to inf or nan here,
-    silently; callers check ``s``."""
-    _normal_block(seed, block_index, z)
+def _signal_norms(model: LcemModel, z: np.ndarray, y: np.ndarray,
+                  s: np.ndarray) -> np.ndarray:
+    """Fill ``s`` with ||G z + d||^2 for draws z (count x r), G the model's
+    ``signal_factor``, forming the signal G z + d in ``y`` one asset per row
+    (n x count), so every step runs along contiguous samples. Each sample's
+    s depends on its own draws only, whatever ``count``. A huge signal
+    overflows to inf or nan here, silently; callers check ``s``."""
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(model.signal_factor, z.T, out=y)
         y += model.signal_offset[:, None]
@@ -281,56 +298,80 @@ def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.nda
     s(f) = (B f)' inv(Sigma) (B f) over the feature law.
     """
     n, r = model.signal_factor.shape
-    return _signal_norms(model, seed, block_index, np.empty((count, r)),
-                         np.empty((n, count)), np.empty(count))
+    z = _normal_block(seed, block_index, np.empty((count, r)))
+    return _signal_norms(model, z, np.empty((n, count)), np.empty(count))
 
 
-def _scratch_views(scratch: dict, model: LcemModel, count: int):
-    """Views for ``count`` samples into one worker's buffers: the draws z
-    (count x r, r = min(n, k) the width of ``signal_factor``), the signal
-    y (n x count) and three rows s, a, t. The buffers are allocated on
-    first use, sized by that block, and reused by every later block of
-    the run, which is never longer (only the last block is short)."""
-    n, r = model.signal_factor.shape
-    if scratch.get("size", 0) < count:
-        scratch.update(size=count, z=np.empty(count * r), y=np.empty(n * count),
-                       rows=np.empty((3, count)))
-    return (scratch["z"][:count * r].reshape(count, r),
-            scratch["y"][:n * count].reshape(n, count),
-            *scratch["rows"][:, :count])
+# Where each of the ten block sums sits in a chunk's row of partials.
+_SUM_ORDER = [0, 2, 4, 6, 1, 3, 5, 7, 8, 9]
 
 
 def _block_sums(model: LcemModel, seed: int, block_index: int, count: int,
                 scratch: dict):
-    """The ten statistic sums of block ``block_index``, formed in place in
-    ``scratch``, a dict owned by one worker's run (see
-    :func:`_scratch_views`)."""
-    z, y, s, a, t = _scratch_views(scratch, model, count)
-    _signal_norms(model, seed, block_index, z, y, s)
-    if not np.isfinite(s).all():
+    """The ten statistic sums of block ``block_index``:
+
+        a1..a4  powers of a = s / (1 + s)    s1..s4  powers of s
+        as1 = sum a*s, as2 = sum a*s**2
+
+    The block is taken in near-equal chunks of at most ``_CHUNK`` samples,
+    each drawn in turn from the block's one generator, so the draws and
+    the s values are those of one fill of the block, bit for bit. No chunk
+    is one sample wide unless the block is: a one-column product takes
+    another BLAS kernel, which rounds differently.
+
+    A chunk lives in the buffers of ``scratch``, a dict owned by one
+    worker's run and allocated at its first block: the draws z, the signal
+    y, the rows R = [a; s; a**2; s**2] and the tile sums, about 1 MB for
+    the sample model. R's four sums are numpy's pairwise sums. The other
+    six products are summed by ``einsum`` over tiles of ``_TILE`` samples
+    and the tile sums pairwise, so no sum runs long in one accumulator. No
+    sum is a BLAS call, whose bits would follow the BLAS thread count. The
+    chunks' partials are summed exactly. Powers of a huge s may overflow;
+    compare_policies rejects those sums. A sum of s past the float maximum
+    raises :class:`DegenerateMarket`.
+    """
+    n, r = model.signal_factor.shape
+    if not scratch:
+        scratch.update(z=np.empty(_CHUNK * r), y=np.empty(n * _CHUNK),
+                       rows=np.empty(4 * _CHUNK), tile_sums=np.empty(6 * _CHUNK // _TILE))
+    draw = _block_generator(seed, block_index).standard_normal
+    chunks = -(-count // _CHUNK)
+    partials = np.empty((chunks, 10))
+    for i, out in enumerate(partials):
+        m = (i + 1) * count // chunks - i * count // chunks
+        width = -(-m // _TILE) * _TILE
+        z = draw(out=scratch["z"][:m * r].reshape(m, r))
+        rows = scratch["rows"][:4 * width].reshape(4, width)
+        tile_sums = scratch["tile_sums"][:6 * width // _TILE].reshape(6, -1)
+        a, s = rows[0, :m], rows[1, :m]
+        _signal_norms(model, z, scratch["y"][:n * m].reshape(n, m), s)
+        # a short chunk is padded to whole tiles with a = s = 0, which add
+        # exact zeros to every sum
+        rows[:2, m:] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(s, np.add(s, 1.0, out=a), out=a)
+            np.multiply(rows[:2], rows[:2], out=rows[2:])
+            # out holds a1, s1, a2, s2, a3, s3, a4, s4, as1, as2
+            rows.sum(axis=1, out=out[:4])
+            by_tile = rows.reshape(4, -1, _TILE)
+            np.einsum("itk,itk->it", by_tile[:2], by_tile[2:], out=tile_sums[:2])
+            np.einsum("itk,itk->it", by_tile[2:], by_tile[2:], out=tile_sums[2:4])
+            np.einsum("tk,itk->it", by_tile[0], by_tile[1::2], out=tile_sums[4:])
+            tile_sums.sum(axis=1, out=out[4:])
+    sums = [_nonnegative_fsum(column) for column in partials.T[_SUM_ORDER].tolist()]
+    if not math.isfinite(sums[4]):
         raise DegenerateMarket(f"signal s overflows in block {block_index}")
-    np.divide(s, np.add(s, 1.0, out=a), out=a)
-    # Sums accumulated per block, with a = s / (1 + s):
-    #   a1..a4  powers of a        s1..s4  powers of s
-    #   as1 = sum a*s, as2 = sum a*s**2
-    # Each product lands in t, or in y[0] for s**2 (y is spent once s is
-    # formed), and is multiplied in the order a*a*a*a, s2*s, s2*s2 that
-    # fixes its bits. Powers of a huge s may overflow; compare_policies
-    # rejects those sums.
-    s2 = y[0]
-    with np.errstate(over="ignore"):
-        np.multiply(s, s, out=s2)
-        a2 = float(np.multiply(a, a, out=t).sum())
-        a3 = float(np.multiply(t, a, out=t).sum())
-        a4 = float(np.multiply(t, a, out=t).sum())
-        return (
-            float(a.sum()), a2, a3, a4,
-            float(s.sum()), float(s2.sum()),
-            float(np.multiply(s2, s, out=t).sum()),
-            float(np.multiply(s2, s2, out=t).sum()),
-            float(np.multiply(a, s, out=t).sum()),
-            float(np.multiply(a, s2, out=t).sum()),
-        )
+    return tuple(sums)
+
+
+def _nonnegative_fsum(terms: list) -> float:
+    """``math.fsum`` of nonnegative ``terms``: +inf past the float maximum,
+    where ``math.fsum`` raises. On a block's few chunk partials it costs
+    about a tenth of ``moments._fsum``."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _collect_sums(model: LcemModel, cfg: McConfig):

@@ -9,12 +9,12 @@ where it enters, by :func:`smmport.moments._pair_stacks`: the states of
 built (``DiscreteMarket(states)`` stacks the pairs' checked arrays) and a
 merged state alone (``merge_states`` keeps the other states' stacks).
 Every constructor ends in ``DiscreteMarket._from_stacks``, which checks
-the probabilities and solves, once and batched over states, the
-per-state quantities that every operation reuses: ``smm_directions``
-inv(A_s) mu_s, ``markowitz_directions`` inv(Sigma_s) mu_s,
-``conditional_q`` mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq``
-mu_s' inv(Sigma_s) mu_s, and sums them into q two ways, which must agree
-(:func:`q_of`).
+the probabilities and solves, once and batched over states (a merge
+solves its merged state alone), the per-state quantities that every
+operation reuses: ``smm_directions`` inv(A_s) mu_s,
+``markowitz_directions`` inv(Sigma_s) mu_s, ``conditional_q``
+mu_s' inv(A_s) mu_s and ``conditional_sharpe_sq`` mu_s' inv(Sigma_s) mu_s,
+and sums them into q two ways, which must agree (:func:`q_of`).
 
 A policy assigns an asset-weight vector to every state, stored as one
 (S, n) array. Unconditional moments of a policy are probability-weighted
@@ -180,23 +180,18 @@ class DiscreteMarket:
     @classmethod
     def _from_stacks(cls, stacks: dict, asymmetry: np.ndarray) -> "DiscreteMarket":
         """The market of stacks that passed :func:`moments._pair_stacks`,
-        with ``probs``: checks the probabilities, warns, solves, checks q
-        (:func:`q_of`) and locks. Every constructor ends here. Its 1 - q is
-        sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s) = sum(p) - q: it keeps its
-        digits as q nears 1, and is off 1 - q by the sum(p) - 1 PROB_SUM_TOL allows."""
+        with ``probs``: checks the probabilities, warns, solves the states
+        unless ``stacks`` holds their solved rows (:func:`_solve_states`),
+        checks q (:func:`q_of`) and locks. Every constructor ends here. Its
+        1 - q is sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s) = sum(p) - q: it
+        keeps its digits as q nears 1, and is off 1 - q by the sum(p) - 1
+        PROB_SUM_TOL allows."""
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
             _warn_asymmetric(f"state {i}: {name}", asymmetry[i])
-        mu, chol_sigma, chol_second = stacks["mu"], stacks["chol_sigma"], stacks["chol_second"]
-        # a state whose mu' inv(Sigma) mu passes the float maximum gets inf
-        # here, silently, and adds 0 to 1 - q; the steps that use it name
-        # it (_optimum a market with no 1 - q left, markowitz_policy the
-        # state's non-finite direction)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacks["markowitz_directions"], stacks["conditional_sharpe_sq"] = _solve(
-                chol_sigma, mu)
-        stacks["smm_directions"], stacks["conditional_q"] = _solve(chol_second, mu)
+        if "smm_directions" not in stacks:
+            stacks.update(_solve_states(stacks))
         p = stacks["probs"]
         q, rest = _fsum(np.stack([
             p * stacks["conditional_q"], p / (1.0 + stacks["conditional_sharpe_sq"]),
@@ -282,6 +277,24 @@ class DiscreteMarket:
                 raise type(exc)(f"state {lo}: {exc}") from None
             raise
         return cls._from_stacks(*checked)
+
+
+def _solve_states(stacks: dict) -> dict:
+    """The per-state solves of ``stacks``, batched over its states:
+    ``smm_directions``, ``markowitz_directions``, ``conditional_q`` and
+    ``conditional_sharpe_sq``. A state's rows are the same bits whatever
+    other states are solved with it."""
+    mu = stacks["mu"]
+    solved = {}
+    # a state whose mu' inv(Sigma) mu passes the float maximum gets inf
+    # here, silently, and adds 0 to 1 - q; the steps that use it name
+    # it (_optimum a market with no 1 - q left, markowitz_policy the
+    # state's non-finite direction)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved["markowitz_directions"], solved["conditional_sharpe_sq"] = _solve(
+            stacks["chol_sigma"], mu)
+    solved["smm_directions"], solved["conditional_q"] = _solve(stacks["chol_second"], mu)
+    return solved
 
 
 class Policy:
@@ -424,9 +437,9 @@ def merge_states(
     moment of its members (second moments, not covariances, are affine in
     the mixture); its covariance is recovered as A - mu mu'. It is placed
     at the smallest merged index. Only the merged state is checked, by
-    :func:`moments._pair_stacks`; the other states keep their checked
-    stacks, bit for bit, and the new market is finished as every market is
-    (probabilities, solves, q). Returns the new market and
+    :func:`moments._pair_stacks`, and solved; the other states keep their
+    checked stacks and solved rows, bit for bit, and the new market is
+    finished as every market is (probabilities, q). Returns the new market and
     delta_q = q(merged) - q(original) <= 0, as -sum_{s in subset}
     p_s ||L_s'(x_s - x_m)||^2, x = inv(A) mu and x_m the merged state's.
     """
@@ -457,6 +470,7 @@ def merge_states(
     merged, _ = _pair_stacks(sums[None, 1:, 0] / p_merged, sums[None, 1:, 1:] / p_merged,
                              np.array([True]))
     merged["probs"] = np.array([p_merged])
+    merged.update(_solve_states(merged))
     keep = np.ones(market.n_states, dtype=bool)
     keep[idx[1:]] = False
     kept = np.flatnonzero(keep)

@@ -23,6 +23,7 @@ from smmport import (
     PerfSummary,
     SharpeBudget,
     evaluate,
+    hedging_example_c1,
     markowitz_policy,
     q_of,
     smm_policy,
@@ -127,6 +128,18 @@ def test_scale_value_and_summary_against_mpmath(capsys, tmp_path, zeta, name):
     if name == "kelly":
         market = DiscreteMarket.from_dict({"states": states})
         assert np.array(out["policy"], dtype=float).tobytes() == market.smm_directions.tobytes()
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+def test_hedging_example_c1_against_mpmath(zeta):
+    # the numerator w'mu (1 - q) takes the market's carried 1 - q
+    states, target = zeta_states(zeta), [[1.0], [-0.3]]
+    market = DiscreteMarket.from_dict({"states": states})
+    mean, variance, q, one_minus_q, _ = exact_moments(states, target)
+    with mpmath.workdps(50):
+        second = variance + mean * mean
+        want = -mean * one_minus_q / (second - 2 * mean * mean + mean * mean * q)
+    assert rel(hedging_example_c1(market, target), want) <= 1e-15
 
 
 @pytest.mark.parametrize("name", list(OBJECTIVES))

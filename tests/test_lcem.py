@@ -2,6 +2,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -363,25 +365,65 @@ def test_s_block_matches_the_quadratic_form_moments(name):
     assert abs(var - k2) < 5.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
 
 
+def recording_draws(monkeypatch):
+    """Wrap every block generator lcem makes so that each of its draws is
+    recorded, a copy per call, in the list returned."""
+    draws = []
+    make = lcem._block_generator
+
+    class Recording:
+        def __init__(self, seed, block_index):
+            self.generator = make(seed, block_index)
+
+        def standard_normal(self, out):
+            self.generator.standard_normal(out=out)
+            draws.append(out.copy())
+            return out
+
+    monkeypatch.setattr(lcem, "_block_generator", Recording)
+    return draws
+
+
 def test_sample_model_draws_one_normal_per_asset(monkeypatch):
     # n = 2 assets and k = 3 features: two normals per sample, not three
-    shapes = []
-    normal_block = lcem._normal_block
-
-    def recording(seed, block_index, out):
-        shapes.append(out.shape)
-        return normal_block(seed, block_index, out)
-
-    monkeypatch.setattr(lcem, "_normal_block", recording)
+    draws = recording_draws(monkeypatch)
     model = sample_model()
     compare_policies(model, McConfig(n_samples=BLOCK_SIZE + 17), 1.0)
     s_block(model, 0, 0, 100)
-    assert shapes == [(BLOCK_SIZE, 2), (17, 2), (100, 2)]
+    assert {z.shape[1] for z in draws} == {2}
+    assert sum(len(z) for z in draws) == BLOCK_SIZE + 17 + 100
 
 
-def plain_block_sums(model, seed, block_index, count):
-    """Oracle: the ten sums of one block by the plain formula, with fresh
-    arrays, samples along rows and einsum for the squared norms."""
+@pytest.mark.parametrize("count", [17, lcem._CHUNK + 1, 3 * lcem._CHUNK + 1, BLOCK_SIZE])
+@pytest.mark.parametrize("name", list(sampler_models()))
+def test_block_chunks_are_one_fill_of_the_block(monkeypatch, name, count):
+    # the block sums draw the block in chunks from one generator: their z
+    # and s are one fill of the block and s_block's, bit for bit
+    model = sampler_models()[name]
+    draws, norms = recording_draws(monkeypatch), []
+    signal_norms = lcem._signal_norms
+
+    def recording_norms(*args):
+        norms.append(signal_norms(*args).copy())
+        return args[-1]
+
+    monkeypatch.setattr(lcem, "_signal_norms", recording_norms)
+    lcem._block_sums(model, 11, 4, count, {})
+    monkeypatch.undo()
+    assert len(draws) == len(norms) == -(-count // lcem._CHUNK)
+    z = lcem._normal_block(11, 4, np.empty((count, model.signal_factor.shape[1])))
+    assert np.concatenate(draws).tobytes() == z.tobytes()
+    assert np.concatenate(norms).tobytes() == s_block(model, 11, 4, count).tobytes()
+
+
+EPS = float(np.finfo(float).eps)
+BLOCK_SUM_NAMES = ("a1", "a2", "a3", "a4", "s1", "s2", "s3", "s4", "as1", "as2")
+
+
+def plain_block_terms(model, seed, block_index, count):
+    """Oracle: the ten per-sample terms of one block's sums by the plain
+    formula, with fresh arrays, samples along rows and einsum for the
+    squared norms."""
     child = np.random.SeedSequence(seed).spawn(block_index + 1)[block_index]
     z = np.random.Generator(np.random.SFC64(child)).standard_normal(
         (count, model.signal_factor.shape[1]))
@@ -389,8 +431,12 @@ def plain_block_sums(model, seed, block_index, count):
     s = np.einsum("ij,ij->i", y, y)
     a = s / (1.0 + s)
     s2 = s * s
-    return tuple(float(x.sum()) for x in (
-        a, a * a, a * a * a, a * a * a * a, s, s2, s2 * s, s2 * s2, a * s, a * s2))
+    return (a, a * a, a * a * a, a * a * a * a, s, s2, s2 * s, s2 * s2, a * s, a * s2)
+
+
+def plain_block_sums(model, seed, block_index, count):
+    """Oracle: each of the ten plain terms summed exactly."""
+    return tuple(math.fsum(x.tolist()) for x in plain_block_terms(model, seed, block_index, count))
 
 
 def sample_model():
@@ -438,9 +484,14 @@ def test_compare_policies_within_five_standard_errors_of_exact(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-@pytest.mark.parametrize("n", [17, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17,
-                               150_000])
+@pytest.mark.parametrize("n", [17, lcem._CHUNK - 1, lcem._CHUNK, lcem._CHUNK + 1, BLOCK_SIZE,
+                               BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17, 150_000])
 def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
+    """Each block's sums within 32 eps of the plain terms summed exactly
+    (every term is nonnegative, so the bound is relative): a block is
+    summed in chunks by numpy's reductions, whose order follows its SIMD
+    width, so no bitwise oracle of them exists. The merge of the blocks
+    is exact, and equals math.fsum of their sums bit for bit."""
     # one scratch through every block, as in a worker's run: a short last
     # block, one sample long at BLOCK_SIZE + 1, reuses buffers sized for a
     # full one
@@ -448,7 +499,9 @@ def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
     partials = []
     for b, (start, stop) in enumerate(block_bounds(n)):
         got = lcem._block_sums(model, seed, b, stop - start, scratch)
-        assert got == plain_block_sums(model, seed, b, stop - start)
+        want = plain_block_sums(model, seed, b, stop - start)
+        for name, g, w in zip(BLOCK_SUM_NAMES, got, want):
+            assert abs(g - w) <= 32 * EPS * w, (name, g, w)
         partials.append(got)
     assert lcem._collect_sums(model, McConfig(n_samples=n, seed=seed)) == tuple(
         math.fsum(c) for c in zip(*partials))
@@ -457,8 +510,8 @@ def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
 @pytest.mark.parametrize("n_assets", [3, 5])
 def test_block_sums_match_the_plain_formula_on_random_models(n_assets):
     """With three or more assets the squared norm is summed over assets in
-    another order than einsum's, so the sums agree to rtol 1e-14 rather
-    than bit for bit."""
+    another order than einsum's, so s itself differs in its last bits and
+    the sums agree to rtol 1e-14."""
     rng = np.random.default_rng(n_assets)
     for k in (1, 2, 4):
         model = small_model(seed=int(rng.integers(1000)), n=n_assets, k=k)
@@ -467,6 +520,27 @@ def test_block_sums_match_the_plain_formula_on_random_models(n_assets):
             np.testing.assert_allclose(
                 lcem._block_sums(model, 3, b, count, scratch),
                 plain_block_sums(model, 3, b, count), rtol=1e-14, atol=0)
+
+
+def test_compare_policies_ignores_the_blas_thread_count():
+    # a BLAS reduction splits its sum across threads, so its bits follow the
+    # thread count; the block sums use none, and the signal's product splits
+    # only its output. At seed 4, sums of a*s and a*s**2 by a whole-block
+    # BLAS dot differ between one and two threads.
+    code = ("import json, sys; from smmport import lcem; "
+            "model = lcem.LcemModel.from_dict(json.load(open(sys.argv[1]))); "
+            "cfg = lcem.McConfig(n_samples=3 * lcem.BLOCK_SIZE + 5, seed=4, n_streams=2); "
+            "print(json.dumps(lcem.compare_policies(model, cfg, 1.0).to_dict()))")
+    src = os.path.dirname(os.path.dirname(lcem.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code, str(SAMPLE_DIR / "lcem_model.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0 and run.stderr == "", run
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -5,7 +5,9 @@ The oracle below loops over states and inverts every matrix with
 and fsum reductions of ``smmport.market`` and ``smmport.hedging``.
 """
 
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -462,6 +464,39 @@ def test_merge_keeps_other_rows_and_merges_the_mixture(n_states):
     assert merged.probs[k] == p_m and merged.second_supplied[k]
     for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second"):
         assert_same_bits(getattr(merged, name)[k], getattr(pair, name))
+
+
+def two_state_golden_market():
+    path = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs/two_state_market.json"
+    return DiscreteMarket.from_dict(json.loads(path.read_text())), [0, 1]
+
+
+def large_market():
+    rng = np.random.default_rng(2000)
+    market = DiscreteMarket.from_dict(random_market_dict(rng, 2000, 4))
+    return market, sorted(rng.choice(2000, size=500, replace=False).tolist())
+
+
+@pytest.mark.parametrize("case", [two_state_golden_market, large_market])
+def test_merge_solves_only_the_merged_state(monkeypatch, case):
+    market, subset = case()
+    solved = []
+    solve = smmport.market._solve
+
+    def recording(lower, mu):
+        solved.append(len(lower))
+        return solve(lower, mu)
+
+    monkeypatch.setattr(smmport.market, "_solve", recording)
+    merged, _ = merge_states(market, subset)
+    monkeypatch.undo()
+    assert solved == [1, 1]
+    # the kept states' solved rows are what solving every state gives
+    given = {name: np.array(getattr(merged, name)) for name in STACKS[:7]}
+    fresh = smmport.market.DiscreteMarket._from_stacks(given, np.zeros(merged.n_states))
+    for name in STACKS:
+        assert_same_bits(getattr(merged, name), getattr(fresh, name))
+    assert (merged._q, merged._one_minus_q) == (fresh._q, fresh._one_minus_q)
 
 
 # Each way the four inputs of from_arrays can disagree in shape, with the
