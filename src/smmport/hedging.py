@@ -12,9 +12,9 @@ where the multipliers solve M c = b with
 
 The achievable squared Hansen ratio splits as q = q_g + b' inv(M) b: the
 orthogonal-complement optimum q_g plus the optimum over the span of the
-constraint directions. ``optimize_basis`` solves the complementary
-problem of optimizing over a finite set of basis portfolio functions,
-which reduces to a classical single-period problem on pseudo-assets.
+constraint directions, so 1 - q_g is a sum. ``optimize_basis`` solves the
+complementary problem over a finite set of basis portfolio functions, a
+classical single-period problem on pseudo-assets whose q splits alike.
 
 Per-state portfolio functions (a constraint's ``g`` and ``target``, the
 elements of a basis) are (S, n) arrays with one row per state. M, b and
@@ -51,7 +51,6 @@ from .market import (
     smm_policy,
 )
 from .moments import (
-    MomentPair,
     Objective,
     PerfSummary,
     _as_array,
@@ -60,9 +59,8 @@ from .moments import (
     _fsum_symmetric,
     _lock,
     _optimum,
-    _solve,
+    _pair_stacks,
     _sym,
-    scaling_constant,
 )
 
 # Reject constraint systems whose matrix M has condition estimate above this.
@@ -182,13 +180,12 @@ def solve_hedge(
         If q_g + spanned_q differs from q by more than ``Q_CONSISTENCY_TOL``
         plus the rounding error that M's condition allows spanned_q.
     """
-    q = q_of(market)
     n_con = len(constraints)
     if n_con == 0:
         empty = np.zeros(0)
         sol = HedgeSolution(
             m_mat=np.zeros((0, 0)), b_vec=empty, multipliers=empty,
-            q_g=q, spanned_q=0.0,
+            q_g=q_of(market), spanned_q=0.0,
         )
         return smm_policy(market, objective), sol
 
@@ -213,28 +210,29 @@ def solve_hedge(
         )
     multipliers = np.linalg.solve(m_mat, b_vec)
     spanned_q = float(b_vec @ multipliers)
-    # q_g is the second moment of the unit policy inv(A)(mu + G c), a sum
-    # of nonnegative terms; q - spanned_q would cancel when the
-    # constraints nearly span mu
-    unit = Policy(market.smm_directions + x @ multipliers)
-    q_g = _second_moment(market, unit.weights)
-    # spanned_q inherits the rounding of M, which grows with M's condition
-    # as about J eps |c|'|M||c| (at most a quarter of that on 1,190 random
-    # systems up to cond 1e12); the check allows four times that on top
-    c = np.abs(multipliers)
-    slack = 4.0 * n_con * _EPS * float(c @ np.abs(m_mat) @ c)
-    if not abs(q_g + spanned_q - q) <= Q_CONSISTENCY_TOL + slack:
-        raise SmmError(
-            f"internal: q_g + spanned_q = {q_g + spanned_q!r} differs from q = {q!r}"
-        )
-
-    # 1 - q_g = (1 - q) + spanned_q, a sum of nonnegative terms
-    policy = unit.scaled(_optimum(q_g, market._one_minus_q + spanned_q, objective)[0])
+    unit = market.smm_directions + x @ multipliers
+    q_g, scale = _scaled_unit(market, unit, spanned_q, multipliers, m_mat, objective,
+                              "q_g + spanned_q")
+    policy = Policy(scale * unit)
     sol = HedgeSolution(
         m_mat=m_mat, b_vec=b_vec, multipliers=multipliers,
         q_g=q_g, spanned_q=spanned_q,
     )
     return policy, sol
+
+
+def _scaled_unit(market: DiscreteMarket, unit: np.ndarray, other_q: float, coeffs: np.ndarray,
+                 gram: np.ndarray, objective: Objective, name: str) -> tuple[float, float]:
+    """The second moment h2 of the unit policy ``unit`` and its scale for
+    ``objective`` by 1 - h2 = (1 - q) + ``other_q``. h2 + other_q must be q
+    within ``Q_CONSISTENCY_TOL`` plus 4 J eps |c|'|gram||c|: 16 times the
+    most rounding seen solving gram c = b on 1,190 hedges up to cond 1e12."""
+    h2, q = _second_moment(market, unit), q_of(market)
+    c = np.abs(coeffs)
+    slack = 4.0 * c.size * _EPS * float(c @ np.abs(gram) @ c)
+    if not abs(h2 + other_q - q) <= Q_CONSISTENCY_TOL + slack:
+        raise SmmError(f"internal: {name} = {h2 + other_q!r} differs from q = {q!r}")
+    return h2, _optimum(h2, market._one_minus_q + other_q, objective)[0]
 
 
 def hedging_example_c1(market: DiscreteMarket, target) -> float:
@@ -266,7 +264,7 @@ def optimize_basis(
     Each basis element is a per-state vector function (same layout as a
     Policy). The mean vector and second-moment Gram matrix of the basis
     returns define a classical single-period problem on pseudo-assets,
-    solved by the same second-moment machinery as everything else.
+    whose unit coefficients inv(Gram) mean are scaled as in solve_hedge.
 
     Returns the coefficient vector and the performance of the resulting
     policy on ``market``. A basis element whose per-state products with
@@ -288,12 +286,15 @@ def optimize_basis(
     gram = _fsum_symmetric(gram_terms)
     mu_tilde = _fsum(mu_terms)
 
-    try:
-        pseudo = MomentPair.from_second_moment(mu_tilde, gram)
+    try:  # with mu = 0, A = Sigma: the moment-pair check validates the Gram matrix
+        pair, _ = _pair_stacks(np.zeros((1, len(basis))), gram[None], np.array([False]))
     except NotPositiveDefinite as exc:
         raise SingularBasis(f"basis Gram matrix is singular: {exc}") from None
-    direction, q_tilde = _solve(pseudo.chol_second, pseudo.mu)
-    coeff = scaling_constant(q_tilde, objective) * direction
+    theta = _chol_solve(pair["chol_sigma"][0], mu_tilde)
+    # q - q_basis = sum_s p_s ||L_s'(x_s - F_s theta)||^2, x = inv(A) mu
+    residual = _second_moment(market, market.smm_directions - f @ theta)
+    coeff = theta * _scaled_unit(market, f @ theta, residual, theta, gram, objective,
+                                 "q_basis + residual")[1]
     return coeff, evaluate(market, Policy(f @ coeff))
 
 

@@ -282,7 +282,9 @@ def _signal_norms(model: LcemModel, z: np.ndarray, y: np.ndarray,
     s depends on its own draws only, whatever ``count``. A huge signal
     overflows to inf or nan here, silently; callers check ``s``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(model.signal_factor, z.T, out=y)
+        if len(z) == 1:  # the first of two: numpy's gemv rounds otherwise than gemm
+            z, y = np.repeat(z, 2, axis=0), np.empty((len(y), 2))
+        y = np.matmul(model.signal_factor, z.T, out=y)[:, :len(s)]
         y += model.signal_offset[:, None]
         np.multiply(y[0], y[0], out=s)
         for row in y[1:]:

@@ -433,10 +433,10 @@ def merge_states(
     """Coarsen the market by merging the states in ``subset``, which holds
     Python or numpy integers (not bools).
 
-    The merged state carries the probability-weighted mean and second
-    moment of its members (second moments, not covariances, are affine in
-    the mixture); its covariance is recovered as A - mu mu'. It is placed
-    at the smallest merged index. Only the merged state is checked, by
+    The merged state carries its members' probability-weighted mean and
+    second moment and, not A - mu mu', which cancels as q nears 1, their
+    risk plus the spread of their means as its covariance. It is placed at
+    the smallest merged index. Only the merged state is checked, by
     :func:`moments._pair_stacks`, and solved; the other states keep their
     checked stacks and solved rows, bit for bit, and the new market is
     finished as every market is (probabilities, q). Returns the new market and
@@ -467,8 +467,13 @@ def merge_states(
     aug[:, 1:, 1:] = market.second_moment[idx]
     sums = _fsum_symmetric(p[:, None, None] * aug)
     p_merged = 1.0 if len(idx) == market.n_states else sums[0, 0]
-    merged, _ = _pair_stacks(sums[None, 1:, 0] / p_merged, sums[None, 1:, 1:] / p_merged,
-                             np.array([True]))
+    # p_merged Sigma_m from p_s Sigma_s and e_s e_s', each exactly symmetric and finite
+    mu_m = sums[None, 1:, 0] / p_merged
+    e = np.sqrt(p)[:, None] * (market.mu[idx] - mu_m)
+    risk = _fsum_symmetric(np.concatenate([p[:, None, None] * market.sigma[idx],
+                                           e[:, :, None] * e[:, None, :]]))
+    merged, _ = _pair_stacks(mu_m, sums[None, 1:, 1:] / p_merged, np.array([True]),
+                             sigma=risk[None] / p_merged)
     merged["probs"] = np.array([p_merged])
     merged.update(_solve_states(merged))
     keep = np.ones(market.n_states, dtype=bool)

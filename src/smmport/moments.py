@@ -235,7 +235,8 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
+def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray,
+                 sigma: np.ndarray | None = None):
     """Validate and factorize S moment pairs at once: the one place the
     checks of a moment pair live.
 
@@ -245,7 +246,8 @@ def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
     finite ``mats``, then every covariance finite (mu mu' can overflow) and
     factorized, then every second moment, each with the ``PIVOT_RTOL`` pivot
     test. The first failing check raises its error (:class:`DomainError`
-    or :class:`NotPositiveDefinite`) without naming a state.
+    or :class:`NotPositiveDefinite`) without naming a state. ``sigma``
+    gives each covariance formed apart from A, exactly symmetric.
 
     Returns the arrays a MomentPair holds, stacked along a leading state
     axis, and each state's asymmetry of ``mats`` (0 where within
@@ -262,7 +264,7 @@ def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray):
     with np.errstate(over="ignore"):
         outer = mu[:, :, None] * mu[:, None, :]
         stacks = {
-            "mu": mu, "sigma": np.where(given, sym - outer, sym),
+            "mu": mu, "sigma": np.where(given, sym - outer, sym) if sigma is None else sigma,
             "second_moment": np.where(given, sym, sym + outer),
             "second_supplied": second_supplied,
         }

@@ -25,6 +25,8 @@ from smmport import (
     evaluate,
     hedging_example_c1,
     markowitz_policy,
+    merge_states,
+    optimize_basis,
     q_of,
     smm_policy,
 )
@@ -160,6 +162,52 @@ def test_hedged_market_with_q_g_near_one(capsys, tmp_path, name):
     summary = out["summary"]
     assert rel(summary["variance"], variance) <= RTOL
     assert rel(summary["sharpe"], (mean - summary["rfr"]) / mpmath.sqrt(variance)) <= RTOL
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+@pytest.mark.parametrize("zeta", ZETAS + [1e9])
+def test_basis_of_the_smm_directions_is_the_smm_policy(zeta, name):
+    # the basis spans x = inv(A) mu, so its policy is the optimum: scaled
+    # from the basis' q and the market's 1 - q plus the part of x outside
+    # the basis, not from 1 - q formed by subtraction
+    market = DiscreteMarket.from_dict({"states": zeta_states(zeta)})
+    objective = OBJECTIVES[name][0]
+    coeff, _ = optimize_basis(market, [market.smm_directions], objective)
+    want = smm_policy(market, objective).weights
+    np.testing.assert_allclose(coeff[0] * market.smm_directions, want, rtol=4 * EPS, atol=0)
+
+
+def equal_mean_states(zeta):
+    """Three states; merging the first two, of equal mean, spreads no mean,
+    so the merged covariance is the members' risk alone and 1 - q = 1.75 /
+    zeta^2 to leading order."""
+    return [{"prob": 0.25, "mu": [1.0], "sigma": [[1.0 / zeta / zeta]]},
+            {"prob": 0.25, "mu": [1.0], "sigma": [[4.0 / zeta / zeta]]},
+            {"prob": 0.5, "mu": [0.5], "sigma": [[0.25 / zeta / zeta]]}]
+
+
+@pytest.mark.parametrize("zeta", [1e6, 1e7, 1e8, 1e9])
+def test_merged_market_carries_one_minus_q(capsys, tmp_path, zeta):
+    states = equal_mean_states(zeta)
+    market = DiscreteMarket.from_dict({"states": states})
+    merged, _ = merge_states(market, [0, 1])
+    with mpmath.workdps(50):
+        p, mu, sigma = ([mpmath.mpf(np.ravel(s[key])[0]) for s in states]
+                        for key in ("prob", "mu", "sigma"))
+        p_m = p[0] + p[1]
+        sigma_m = (p[0] * sigma[0] + p[1] * sigma[1]) / p_m
+        one_minus_q = (p_m * sigma_m / (sigma_m + mu[0] ** 2)
+                       + p[2] * sigma[2] / (sigma[2] + mu[2] ** 2))
+    assert rel(merged._one_minus_q, one_minus_q) <= 1e-15
+    assert merged._one_minus_q >= market._one_minus_q
+
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps({"states": states}))
+    rc = main(["merge-states", "--market", str(path), "--subset", "0,1"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "NaN" not in out and "Infinity" not in out
+    assert json.loads(out)["delta_q"] <= 0.0
 
 
 # --- random markets ------------------------------------------------------

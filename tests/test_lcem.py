@@ -416,6 +416,18 @@ def test_block_chunks_are_one_fill_of_the_block(monkeypatch, name, count):
     assert np.concatenate(norms).tobytes() == s_block(model, 11, 4, count).tobytes()
 
 
+@pytest.mark.parametrize("count", [2, 3, BLOCK_SIZE])
+@pytest.mark.parametrize("name", list(sampler_models()))
+def test_one_sample_is_the_first_of_any_wider_block(name, count):
+    # numpy computes a one-column product by gemv, which rounds otherwise
+    # than gemm: a block of one sample must still give that sample's s
+    model = sampler_models()[name]
+    for seed, block in ((0, 0), (11, 4), (2**64 - 1, 30)):
+        one = s_block(model, seed, block, 1)
+        assert one.shape == (1,)
+        assert one[0].hex() == s_block(model, seed, block, count)[0].hex()
+
+
 EPS = float(np.finfo(float).eps)
 BLOCK_SUM_NAMES = ("a1", "a2", "a3", "a4", "s1", "s2", "s3", "s4", "as1", "as2")
 

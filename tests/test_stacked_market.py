@@ -24,11 +24,15 @@ from smmport import (
     NotPositiveDefinite,
     Policy,
     SharpeBudget,
+    conditional_q,
+    conditional_sharpe_sq,
     evaluate,
+    markowitz_direction,
     markowitz_policy,
     merge_states,
     optimize_basis,
     q_of,
+    smm_direction,
     smm_policy,
     solve_hedge,
 )
@@ -454,16 +458,44 @@ def test_merge_keeps_other_rows_and_merges_the_mixture(n_states):
         assert_same_bits(getattr(merged, name)[others],
                          getattr(market, name)[[kept[j] for j in others]])
 
-    p = market.probs[subset].tolist()
-    p_m = 1.0 if len(subset) == n_states else math.fsum(p)
-    mu_m = np.array([math.fsum(pi * market.mu[i, a] for pi, i in zip(p, subset))
-                     for a in range(n_assets)]) / p_m
-    a_m = np.array([[math.fsum(pi * market.second_moment[i, a, b] for pi, i in zip(p, subset))
-                     for b in range(n_assets)] for a in range(n_assets)]) / p_m
-    pair = MomentPair.from_second_moment(mu_m, a_m)
+    p_m, by_second, by_sigma = merged_pairs(market, subset)
     assert merged.probs[k] == p_m and merged.second_supplied[k]
-    for name in ("mu", "sigma", "second_moment", "chol_sigma", "chol_second"):
-        assert_same_bits(getattr(merged, name)[k], getattr(pair, name))
+    # the A side as the mixture's second moment; the Sigma side formed on
+    # its own, never as A - mu mu'
+    for name in ("mu", "second_moment", "chol_second"):
+        assert_same_bits(getattr(merged, name)[k], getattr(by_second, name))
+    for name in ("sigma", "chol_sigma"):
+        assert_same_bits(getattr(merged, name)[k], getattr(by_sigma, name))
+    for name, want in merged_solves(by_second, by_sigma).items():
+        assert_same_bits(getattr(merged, name)[k], want)
+
+
+def merged_pairs(market, subset):
+    """Oracle for the merged state, every sum by ``math.fsum``: p_m, the
+    pair given by the mixture's second moment A_m, and the pair given by
+    its covariance, the members' risk plus the spread of their means,
+    sum_s [p_s Sigma_s + e_s e_s'] / p_m with e_s = sqrt(p_s)(mu_s - mu_m)."""
+    idx = sorted(set(subset))
+    p = market.probs[idx]
+    n = market.n_assets
+    p_m = 1.0 if len(idx) == market.n_states else math.fsum(p.tolist())
+    mu_m = np.array([math.fsum((p * market.mu[idx, a]).tolist()) for a in range(n)]) / p_m
+    a_m = np.array([[math.fsum((p * market.second_moment[idx, a, b]).tolist())
+                     for b in range(n)] for a in range(n)]) / p_m
+    e = np.sqrt(p)[:, None] * (market.mu[idx] - mu_m)
+    sigma_m = np.array([[math.fsum([*(p * market.sigma[idx, a, b]).tolist(),
+                                    *(e[:, a] * e[:, b]).tolist()])
+                         for b in range(n)] for a in range(n)]) / p_m
+    return (p_m, MomentPair.from_second_moment(mu_m, a_m),
+            MomentPair.from_covariance(mu_m, sigma_m))
+
+
+def merged_solves(by_second, by_sigma):
+    """The merged state's solved row, each side solved from its own pair."""
+    return {"smm_directions": smm_direction(by_second),
+            "conditional_q": np.float64(conditional_q(by_second)),
+            "markowitz_directions": markowitz_direction(by_sigma),
+            "conditional_sharpe_sq": np.float64(conditional_sharpe_sq(by_sigma))}
 
 
 def two_state_golden_market():
@@ -603,18 +635,14 @@ def test_market_of_its_own_states_has_its_bits(n_states):
 
 def rebuilt_merge(market, subset):
     """The merged market rebuilt by ``from_arrays`` from the merged arrays:
-    every state checked again, the merged state's moments by ``math.fsum``."""
+    every state checked again, the merged state's moments by ``math.fsum``
+    and given by its second moment, so its covariance is A_m - mu_m mu_m'."""
     idx = sorted(set(subset))
-    p = market.probs[idx].tolist()
-    p_m = 1.0 if len(idx) == market.n_states else math.fsum(p)
-    mu_m = [math.fsum(pi * market.mu[i, a] for pi, i in zip(p, idx)) / p_m
-            for a in range(market.n_assets)]
-    a_m = [[math.fsum(pi * market.second_moment[i, a, b] for pi, i in zip(p, idx)) / p_m
-            for b in range(market.n_assets)] for a in range(market.n_assets)]
+    p_m, by_second, _ = merged_pairs(market, subset)
     given = market.second_supplied
     mats = np.where(given[:, None, None], market.second_moment, market.sigma)
     arrays = [np.delete(a, idx[1:], axis=0) for a in (market.probs, market.mu, mats, given)]
-    for a, merged in zip(arrays, (p_m, mu_m, a_m, True)):
+    for a, merged in zip(arrays, (p_m, by_second.mu, by_second.second_moment, True)):
         a[idx[0]] = merged
     return DiscreteMarket.from_arrays(*arrays)
 
@@ -637,8 +665,19 @@ def test_merge_equals_the_market_rebuilt_from_merged_arrays():
         ).filter(lambda sub: len(set(sub)) > 1), label="subset")
         merged, delta_q = merge_states(market, subset)
         want = rebuilt_merge(market, subset)
+        # the merged row's Sigma side is the oracle's covariance pair, not
+        # the rebuilt A_m - mu_m mu_m'; every other row and stack is the
+        # rebuilt market's
+        _, by_second, by_sigma = merged_pairs(market, subset)
+        sigma_side = {"sigma": by_sigma.sigma, "chol_sigma": by_sigma.chol_sigma,
+                      **merged_solves(by_second, by_sigma)}
+        k = min(subset)
         for name in STACKS:
-            assert_same_bits(getattr(merged, name), getattr(want, name))
+            rows = np.array(getattr(want, name))
+            if name in ("sigma", "chol_sigma", "markowitz_directions",
+                        "conditional_sharpe_sq"):
+                rows[k] = sigma_side[name]
+            assert_same_bits(getattr(merged, name), rows)
         assert q_of(merged).hex() == q_of(want).hex()
         # delta_q by its formula on the rebuilt market, summed by math.fsum
         idx = sorted(set(subset))
