@@ -64,6 +64,9 @@ from .moments import (
 )
 
 # Reject constraint systems whose matrix M has condition estimate above this.
+# At cond(M) 3e10 to 8e10 (two nearly parallel constraints on 50 random
+# states), spanned_q kept 7 to 10 significant digits against 50-digit
+# mpmath, at most 0.04 of the split check's allowance 4 J eps |c|'|M||c|.
 CONDITION_LIMIT = 1e12
 
 

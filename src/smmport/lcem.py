@@ -49,8 +49,8 @@ counter-based generator, this is no proof that two streams never
 overlap; it makes an overlap within any practical run astronomically
 unlikely, and SFC64 is the cheaper generator per normal. A block's
 chunks are drawn in turn from its one generator, so their draws, and the
-s values, are those of one fill of the block. Partial sums are merged
-exactly, the chunks' within a block and the blocks' across the run. The
+s values, are those of one fill of the block. Every chunk's partial
+sums, over all blocks of the run, are merged by one exact sum. The
 blocks are split into contiguous runs, one per worker thread; there are
 at most ``n_streams`` workers and one per CPU. Estimates are
 bit-identical for any ``n_streams``, any scheduling and any BLAS thread
@@ -75,11 +75,11 @@ from .moments import (
     _is_integer,
     _lock,
     _optimum,
+    _real,
     _solve,
     _sym,
     _tri_solve,
     _warn_asymmetric,
-    scaling_constant,
 )
 
 BLOCK_SIZE = 1 << 16
@@ -243,13 +243,14 @@ def lcem_conditional_weights(model: LcemModel, f, scale: float = 1.0) -> np.ndar
 
     scale * inv(Sigma) B f / (1 + (B f)' inv(Sigma) (B f)), the
     second-moment direction of the conditional moment pair (B f, Sigma).
-    ``f`` is copied to float64 and must be finite.
+    ``f`` is copied to float64 and must be finite, as must ``scale``.
     """
+    scale = _real(scale, "scale")
     fv = _as_array(f, "f", 1)
     if fv.size != model.n_features:
         raise DomainError(f"f must have length {model.n_features}")
     direction, s = _solve(model.chol_sigma, model.B @ fv)
-    return (float(scale) / (1.0 + float(s))) * direction
+    return (scale / (1.0 + float(s))) * direction
 
 
 def block_bounds(n_samples: int) -> list[tuple[int, int]]:
@@ -304,22 +305,17 @@ def s_block(model: LcemModel, seed: int, block_index: int, count: int) -> np.nda
     return _signal_norms(model, z, np.empty((n, count)), np.empty(count))
 
 
-# Where each of the ten block sums sits in a chunk's row of partials.
-_SUM_ORDER = [0, 2, 4, 6, 1, 3, 5, 7, 8, 9]
-
-
 def _block_sums(model: LcemModel, seed: int, block_index: int, count: int,
-                scratch: dict):
-    """The ten statistic sums of block ``block_index``:
+                scratch: dict) -> np.ndarray:
+    """The ten statistic sums of block ``block_index``, one row of partials
+    per chunk, in the columns a1, s1, a2, s2, a3, s3, a4, s4, as1, as2:
 
         a1..a4  powers of a = s / (1 + s)    s1..s4  powers of s
         as1 = sum a*s, as2 = sum a*s**2
 
-    The block is taken in near-equal chunks of at most ``_CHUNK`` samples,
-    each drawn in turn from the block's one generator, so the draws and
-    the s values are those of one fill of the block, bit for bit. No chunk
-    is one sample wide unless the block is: a one-column product takes
-    another BLAS kernel, which rounds differently.
+    The block is taken in chunks of ``_CHUNK`` samples, the last one
+    shorter, each drawn in turn from the block's one generator, so the
+    draws and the s values are those of one fill of the block, bit for bit.
 
     A chunk lives in the buffers of ``scratch``, a dict owned by one
     worker's run and allocated at its first block: the draws z, the signal
@@ -327,20 +323,18 @@ def _block_sums(model: LcemModel, seed: int, block_index: int, count: int,
     the sample model. R's four sums are numpy's pairwise sums. The other
     six products are summed by ``einsum`` over tiles of ``_TILE`` samples
     and the tile sums pairwise, so no sum runs long in one accumulator. No
-    sum is a BLAS call, whose bits would follow the BLAS thread count. The
-    chunks' partials are summed exactly. Powers of a huge s may overflow;
-    compare_policies rejects those sums. A sum of s past the float maximum
-    raises :class:`DegenerateMarket`.
+    sum is a BLAS call, whose bits would follow the BLAS thread count.
+    Powers of a huge s may overflow; compare_policies rejects those sums.
+    A partial of s past the float maximum raises :class:`DegenerateMarket`.
     """
     n, r = model.signal_factor.shape
     if not scratch:
         scratch.update(z=np.empty(_CHUNK * r), y=np.empty(n * _CHUNK),
                        rows=np.empty(4 * _CHUNK), tile_sums=np.empty(6 * _CHUNK // _TILE))
     draw = _block_generator(seed, block_index).standard_normal
-    chunks = -(-count // _CHUNK)
-    partials = np.empty((chunks, 10))
-    for i, out in enumerate(partials):
-        m = (i + 1) * count // chunks - i * count // chunks
+    partials = np.empty((-(-count // _CHUNK), 10))
+    for lo, out in zip(range(0, count, _CHUNK), partials):
+        m = min(_CHUNK, count - lo)
         width = -(-m // _TILE) * _TILE
         z = draw(out=scratch["z"][:m * r].reshape(m, r))
         rows = scratch["rows"][:4 * width].reshape(4, width)
@@ -360,29 +354,19 @@ def _block_sums(model: LcemModel, seed: int, block_index: int, count: int,
             np.einsum("itk,itk->it", by_tile[2:], by_tile[2:], out=tile_sums[2:4])
             np.einsum("tk,itk->it", by_tile[0], by_tile[1::2], out=tile_sums[4:])
             tile_sums.sum(axis=1, out=out[4:])
-    sums = [_nonnegative_fsum(column) for column in partials.T[_SUM_ORDER].tolist()]
-    if not math.isfinite(sums[4]):
+    if not np.isfinite(partials[:, 1]).all():
         raise DegenerateMarket(f"signal s overflows in block {block_index}")
-    return tuple(sums)
-
-
-def _nonnegative_fsum(terms: list) -> float:
-    """``math.fsum`` of nonnegative ``terms``: +inf past the float maximum,
-    where ``math.fsum`` raises. On a block's few chunk partials it costs
-    about a tenth of ``moments._fsum``."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    return partials
 
 
 def _collect_sums(model: LcemModel, cfg: McConfig):
-    """Accumulate the statistic sums over all blocks.
+    """The ten statistic sums over all blocks, in ``_block_sums``' order.
 
     The blocks are split into one contiguous run per worker, and at most
-    ``n_streams`` workers, one per CPU, run them. Per-block partials are
-    reduced exactly, so the result does not depend on the worker count
-    or scheduling. A sum past the float maximum comes back inf.
+    ``n_streams`` workers, one per CPU, run them. Every chunk's partials,
+    in block order, are reduced by one exact sum, so the result does not
+    depend on the worker count or scheduling. A sum past the float
+    maximum comes back inf.
     """
     bounds = block_bounds(cfg.n_samples)
     n_blocks = len(bounds)
@@ -401,8 +385,8 @@ def _collect_sums(model: LcemModel, cfg: McConfig):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = [p for chunk in pool.map(run, range(workers)) for p in chunk]
-    return tuple(_fsum(np.array(partials)).tolist())
+            partials = [p for blocks in pool.map(run, range(workers)) for p in blocks]
+    return tuple(_fsum(np.concatenate(partials)).tolist())
 
 
 def _mean_estimate(sum1: float, sum2: float, n: int) -> McEstimate:
@@ -417,8 +401,8 @@ def estimate_q(model: LcemModel, cfg: McConfig) -> McEstimate:
     This is the squared unconditional Hansen ratio of the optimal policy.
     Deterministic given (seed, n_samples); independent of n_streams.
     """
-    sums = _collect_sums(model, cfg)
-    return _mean_estimate(sums[0], sums[1], cfg.n_samples)
+    a1, _, a2, *_ = _collect_sums(model, cfg)
+    return _mean_estimate(a1, a2, cfg.n_samples)
 
 
 def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> LcemComparison:
@@ -432,10 +416,9 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     computed from conditional moments per sampled f, never from sampled
     returns.
     """
-    budget = SharpeBudget(risk_budget=float(risk_budget))
-    sums = _collect_sums(model, cfg)
+    budget = SharpeBudget(risk_budget=risk_budget)
     n = cfg.n_samples
-    a1, a2, a3, a4, s1, s2, s3, s4, as1, as2 = sums
+    a1, s1, a2, s2, a3, s3, a4, s4, as1, as2 = _collect_sums(model, cfg)
 
     if s2 == 0.0:
         # No signal anywhere: both policies are identically zero.
@@ -456,47 +439,31 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
     if not math.isfinite(s4):
         raise DegenerateMarket("signal too strong: the sum of s**4 overflows")
 
-    a_sq = a_bar * a_bar
-    cov = np.array([
-        [a2 - n * a_sq, as1 - n * a_bar * b_bar, as2 - n * a_bar * c_bar],
-        [as1 - n * a_bar * b_bar, s2 - n * (b_bar * b_bar), s3 - n * b_bar * c_bar],
-        [as2 - n * a_bar * c_bar, s3 - n * b_bar * c_bar, s4 - n * (c_bar * c_bar)],
-    ]) / (n - 1)
+    means = np.array([a_bar, b_bar, c_bar])
+    raw = np.array([[a2, as1, as2], [as1, s2, s3], [as2, s3, s4]])
+    cov = (raw - n * np.outer(means, means)) / (n - 1)
 
-    q_est = _mean_estimate(a1, a2, n)
+    def delta_method(value: float, grad: list) -> McEstimate:
+        """``value``, a smooth function of the three means, with the standard
+        error its gradient ``grad`` there gives."""
+        grad = np.array(grad)
+        return McEstimate(value=value, std_error=math.sqrt(max(grad @ cov @ grad, 0.0) / n), n=n)
 
     sr_smm_val = math.sqrt(a_bar / (1.0 - a_bar))
     d_smm = 1.0 / (2.0 * math.sqrt(a_bar) * ((1.0 - a_bar) * math.sqrt(1.0 - a_bar)))
-    sr_smm = McEstimate(
-        value=sr_smm_val,
-        std_error=d_smm * math.sqrt(max(cov[0, 0], 0.0) / n),
-        n=n,
-    )
-
     # Covariance policy: unit direction has mean b_bar, second moment
     # b_bar + c_bar, hence variance v below.
     v = b_bar + c_bar - b_bar * b_bar
     sr_mp_val = b_bar / math.sqrt(v)
     d_b = (1.0 - b_bar * (1.0 - 2.0 * b_bar) / (2.0 * v)) / math.sqrt(v)
     d_c = -b_bar / (2.0 * (v * math.sqrt(v)))
-    grad_mp = np.array([0.0, d_b, d_c])
-    sr_mp = McEstimate(
-        value=sr_mp_val,
-        std_error=math.sqrt(max(grad_mp @ cov @ grad_mp, 0.0) / n),
-        n=n,
-    )
-
     # sr_smm^2 - sr_mp^2 = [e(b + c) - c^2] / [(1 - a) v] with e = as2/n, as
     # a = s - s^2 + a*s^2: no difference of nearly equal Sharpe ratios
-    grad_delta = np.array([d_smm, -d_b, -d_c])
-    delta = McEstimate(
-        value=(as2 / n * (b_bar + c_bar) - c_bar * c_bar)
-        / ((1.0 - a_bar) * v * (sr_smm_val + sr_mp_val)),
-        std_error=math.sqrt(max(grad_delta @ cov @ grad_delta, 0.0) / n),
-        n=n,
-    )
+    delta_val = (as2 / n * (b_bar + c_bar) - c_bar * c_bar) / (
+        (1.0 - a_bar) * v * (sr_smm_val + sr_mp_val))
 
     # std of the down-levering factor 1/(1+s) = 1 - a equals the std of a.
+    a_sq = a_bar * a_bar
     m2 = max(cov[0, 0], 0.0)
     rescale_val = math.sqrt(m2)
     if m2 > 0.0:
@@ -505,12 +472,14 @@ def compare_policies(model: LcemModel, cfg: McConfig, risk_budget: float) -> Lce
         rescale_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n) / (2.0 * rescale_val)
     else:
         rescale_se = 0.0
-    rescale = McEstimate(value=rescale_val, std_error=rescale_se, n=n)
 
-    smm_scale = scaling_constant(a_bar, budget)
     k = b_bar / (b_bar + c_bar)
-    mp_scale = _optimum(k * b_bar, v / (b_bar + c_bar), budget, k)[0]
     return LcemComparison(
-        q=q_est, sr_smm=sr_smm, sr_mp=sr_mp, delta_sr=delta,
-        rescale_std=rescale, smm_scale=smm_scale, mp_scale=mp_scale,
+        q=_mean_estimate(a1, a2, n),
+        sr_smm=delta_method(sr_smm_val, [d_smm, 0.0, 0.0]),
+        sr_mp=delta_method(sr_mp_val, [0.0, d_b, d_c]),
+        delta_sr=delta_method(delta_val, [d_smm, -d_b, -d_c]),
+        rescale_std=McEstimate(value=rescale_val, std_error=rescale_se, n=n),
+        smm_scale=_optimum(a_bar, 1.0 - a_bar, budget)[0],
+        mp_scale=_optimum(k * b_bar, v / (b_bar + c_bar), budget, k)[0],
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
-from .moments import _as_array, _lock
+from .moments import _as_array, _lock, _positive
 
 # Grid points whose total kernel mass falls below this are emitted as
 # missing (NaN) rather than dividing by ~0.
@@ -96,13 +96,6 @@ def nw_sums(xs, ys, grid, bandwidth):
         den += ones[:hi - lo] @ w
         num += ys[:, lo:hi] @ w
     return den, num
-
-
-def _positive(value, name: str, hint: str = "") -> float:
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive{hint}")
-    return value
 
 
 def _nw_estimates(xs, ys, grid, bandwidth: float):

@@ -48,6 +48,7 @@ from .moments import (
     _lock,
     _optimum,
     _pair_stacks,
+    _real,
     _solve,
     _warn_asymmetric,
 )
@@ -360,8 +361,10 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     m = sum_s p_s mu_s' w_s, the second moment sum_s p_s ||L_s' w_s||^2, and
     the variance sum_s p_s ||K_s' w_s||^2 + sum_s p_s (mu_s' w_s - m)^2, the
     within-state risk plus the spread of the state means. Every term is
-    nonnegative. A second moment that overflows raises :class:`DomainError`.
+    nonnegative. A second moment that overflows, or an ``rfr`` that is not
+    a finite number, raises :class:`DomainError`.
     """
+    rfr = _real(rfr, "rfr")
     w = _per_state_vectors(policy, market, "policy")
     second = _second_moment(market, w)
     z = np.einsum("sji,sj->si", market.chol_sigma, w)
@@ -374,7 +377,7 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     # halved, each spread term is at most the second moment: none overflows
     half = 0.5 * (means - mean)
     variance = within + 4.0 * _fsum(p * half * half)
-    return PerfSummary(mean, second, float(rfr), _variance=variance)
+    return PerfSummary(mean, second, rfr, _variance=variance)
 
 
 def _second_moment(market: DiscreteMarket, w: np.ndarray) -> float:

@@ -16,7 +16,8 @@ a fully scaled policy.
 Every outside value is read as float64 by one converter, ``_floats``,
 which gives None for text and for what numpy cannot read as real
 numbers; ``_as_array`` adds the finite, axis and emptiness checks,
-naming the argument that fails.
+naming the argument that fails; ``_real`` reads one number and checks
+its range, naming the argument.
 Every moment pair is validated by one batched check, ``_pair_stacks``:
 finite inputs, symmetrization, a finite Sigma and A, and a Cholesky
 factorization of both whose smallest pivot must pass ``PIVOT_RTOL``. A
@@ -78,6 +79,20 @@ def _as_array(x, name: str, ndim: int) -> np.ndarray:
         kind = "vector" if ndim == 1 else "matrix"
         raise DomainError(f"{name} must be a nonempty {ndim}-d {kind}")
     return a
+
+
+def _real(x, name: str, rule: str = "finite", ok=math.isfinite) -> float:
+    """:func:`_floats` of ``x`` as one float for which ``ok`` holds, else a
+    :class:`DomainError` that ``name`` must be ``rule``."""
+    a = _floats(x)
+    if a is None or a.ndim or not ok(float(a)):
+        raise DomainError(f"{name} must be {rule}")
+    return float(a)
+
+
+def _positive(x, name: str, hint: str = "") -> float:
+    """:func:`_real` of ``x``, finite and positive."""
+    return _real(x, name, "finite and positive" + hint, lambda v: 0.0 < v < math.inf)
 
 
 def _asymmetry(mat: np.ndarray) -> np.ndarray:
@@ -387,10 +402,9 @@ class SharpeBudget:
     risk_free: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.risk_budget < math.inf:
-            raise DomainError("risk_budget must be finite and positive")
-        if not 0.0 <= self.risk_free < math.inf:
-            raise DomainError("risk_free must be finite and nonnegative")
+        object.__setattr__(self, "risk_budget", _positive(self.risk_budget, "risk_budget"))
+        object.__setattr__(self, "risk_free", _real(
+            self.risk_free, "risk_free", "finite and nonnegative", lambda v: 0.0 <= v < math.inf))
 
 
 @dataclass(frozen=True)
@@ -400,8 +414,7 @@ class MeanVariance:
     risk_param: float
 
     def __post_init__(self):
-        if not 0.0 < self.risk_param < math.inf:
-            raise DomainError("risk_param must be finite and positive")
+        object.__setattr__(self, "risk_param", _positive(self.risk_param, "risk_param"))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import pytest
 
 from smmport import (
     DiscreteMarket,
+    HedgeConstraint,
     Kelly,
     MeanVariance,
     PerfSummary,
@@ -29,8 +30,11 @@ from smmport import (
     optimize_basis,
     q_of,
     smm_policy,
+    solve_hedge,
 )
 from smmport.cli import main
+from smmport.hedging import CONDITION_LIMIT
+from conftest import random_market
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -303,3 +307,33 @@ def test_policy_scales_over_random_markets():
             np.testing.assert_allclose(got, want, rtol=mp_tol + 8 * EPS, atol=0)
 
     check()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_spanned_q_near_the_condition_limit(seed):
+    """Two nearly parallel constraints make cond(M) 3e10 to 8e10, a few
+    decades below CONDITION_LIMIT. spanned_q = b' inv(M) b must stay within
+    4 J eps |c|'|M||c| of 50-digit mpmath on the same float inputs, the
+    allowance the split check grants it; these seeds reach at most 0.04 of
+    it, and at most 6.5e-8 relative."""
+    rng = np.random.default_rng(seed)
+    market = random_market(rng, n_assets=3, n_states=50)
+    g1 = market.mu + rng.standard_normal(market.mu.shape)
+    g = np.stack([g1, g1 + 1e-5 * rng.standard_normal(market.mu.shape)], axis=-1)
+    _, sol = solve_hedge(market, [HedgeConstraint.raw(g[..., j], market) for j in range(2)],
+                         Kelly())
+    assert 3e10 < np.linalg.cond(sol.m_mat) < CONDITION_LIMIT
+    with mpmath.workdps(50):
+        m, b = mpmath.zeros(2, 2), mpmath.zeros(2, 1)
+        for p, a, mu, gs in zip(market.probs, market.second_moment, market.mu, g):
+            a = mpmath.matrix(a.tolist())
+            x_mu = mpmath.lu_solve(a, mpmath.matrix(mu.tolist()))
+            x_g = [mpmath.lu_solve(a, mpmath.matrix(col)) for col in gs.T.tolist()]
+            for i in range(2):
+                b[i] -= p * sum(u * v for u, v in zip(gs[:, i], x_mu))
+                for j in range(2):
+                    m[i, j] += p * sum(u * v for u, v in zip(gs[:, i], x_g[j]))
+        spanned_q = (b.T * mpmath.lu_solve(m, b))[0]
+    c = np.abs(sol.multipliers)
+    allowance = 4.0 * c.size * EPS * float(c @ np.abs(sol.m_mat) @ c)
+    assert abs(mpmath.mpf(sol.spanned_q) - spanned_q) <= allowance

@@ -15,8 +15,10 @@ from smmport import (
     DomainError,
     LcemModel,
     LeverageSample,
+    MeanVariance,
     MomentPair,
     Policy,
+    SharpeBudget,
     evaluate,
     kernel_regress,
     lcem_conditional_weights,
@@ -237,3 +239,36 @@ def test_policy_reads_a_generator_once():
     # takes the fast path instead of being consumed and found empty
     policy = Policy(np.full(2, float(i)) for i in range(3))
     np.testing.assert_array_equal(policy.weights, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+
+
+NOT_NUMBERS = [None, "x", "1", [1.0], {"a": 1}, 10**400]
+NOT_NUMBER_IDS = ["none", "text", "numeric-text", "list", "mapping", "huge-int"]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_objective_parameters_name_a_non_number(bad):
+    with pytest.raises(DomainError, match="^risk_budget must be finite and positive$"):
+        SharpeBudget(bad)
+    with pytest.raises(DomainError, match="^risk_free must be finite and nonnegative$"):
+        SharpeBudget(risk_free=bad)
+    with pytest.raises(DomainError, match="^risk_param must be finite and positive$"):
+        MeanVariance(bad)
+
+
+def test_objective_parameters_are_kept_as_floats():
+    objective = SharpeBudget(np.float32(2.0), np.array(0.5))
+    assert (type(objective.risk_budget), type(objective.risk_free)) == (float, float)
+    assert objective == SharpeBudget(2.0, 0.5) and MeanVariance(3).risk_param == 3.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, *NOT_NUMBERS],
+                         ids=["nan", "inf", "-inf", *NOT_NUMBER_IDS])
+def test_scalar_arguments_name_a_non_finite_value(two_state_market, bad):
+    policy = Policy(np.ones((2, 2)))
+    with pytest.raises(DomainError, match="^rfr must be finite$"):
+        evaluate(two_state_market, policy, rfr=bad)
+    model = LcemModel(*_model_arrays(np.random.default_rng(3)))
+    with pytest.raises(DomainError, match="^scale must be finite$"):
+        lcem_conditional_weights(model, np.ones(3), scale=bad)
+    with pytest.raises(DomainError, match="^bandwidth must be finite and positive$"):
+        kernel_regress([1.0, 2.0], [0.5, 0.1], [1.5], bandwidth=bad)

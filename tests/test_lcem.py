@@ -133,7 +133,7 @@ def test_threads_capped_at_cpu_count(monkeypatch, cpus):
 
     def block_sums(model, seed, block_index, count, scratch):
         seen.append(block_index)
-        return (float(count),) * 10
+        return np.full((1, 10), float(count))
 
     monkeypatch.setattr(lcem, "_block_sums", block_sums)
     n = 400_000_000
@@ -429,13 +429,13 @@ def test_one_sample_is_the_first_of_any_wider_block(name, count):
 
 
 EPS = float(np.finfo(float).eps)
-BLOCK_SUM_NAMES = ("a1", "a2", "a3", "a4", "s1", "s2", "s3", "s4", "as1", "as2")
+BLOCK_SUM_NAMES = ("a1", "s1", "a2", "s2", "a3", "s3", "a4", "s4", "as1", "as2")
 
 
 def plain_block_terms(model, seed, block_index, count):
     """Oracle: the ten per-sample terms of one block's sums by the plain
-    formula, with fresh arrays, samples along rows and einsum for the
-    squared norms."""
+    formula, in the order of BLOCK_SUM_NAMES, with fresh arrays, samples
+    along rows and einsum for the squared norms."""
     child = np.random.SeedSequence(seed).spawn(block_index + 1)[block_index]
     z = np.random.Generator(np.random.SFC64(child)).standard_normal(
         (count, model.signal_factor.shape[1]))
@@ -443,7 +443,7 @@ def plain_block_terms(model, seed, block_index, count):
     s = np.einsum("ij,ij->i", y, y)
     a = s / (1.0 + s)
     s2 = s * s
-    return (a, a * a, a * a * a, a * a * a * a, s, s2, s2 * s, s2 * s2, a * s, a * s2)
+    return (a, s, a * a, s2, a * a * a, s2 * s, a * a * a * a, s2 * s2, a * s, a * s2)
 
 
 def plain_block_sums(model, seed, block_index, count):
@@ -499,11 +499,11 @@ def test_compare_policies_within_five_standard_errors_of_exact(seed):
 @pytest.mark.parametrize("n", [17, lcem._CHUNK - 1, lcem._CHUNK, lcem._CHUNK + 1, BLOCK_SIZE,
                                BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17, 150_000])
 def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
-    """Each block's sums within 32 eps of the plain terms summed exactly
-    (every term is nonnegative, so the bound is relative): a block is
-    summed in chunks by numpy's reductions, whose order follows its SIMD
-    width, so no bitwise oracle of them exists. The merge of the blocks
-    is exact, and equals math.fsum of their sums bit for bit."""
+    """Each block's chunk partials, summed exactly, within 32 eps of the
+    plain terms summed exactly (every term is nonnegative, so the bound is
+    relative): a chunk is summed by numpy's reductions, whose order follows
+    its SIMD width, so no bitwise oracle of it exists. The merge of every
+    chunk's partials is one exact sum, math.fsum of them bit for bit."""
     # one scratch through every block, as in a worker's run: a short last
     # block, one sample long at BLOCK_SIZE + 1, reuses buffers sized for a
     # full one
@@ -512,9 +512,10 @@ def test_block_sums_bitwise_equal_the_plain_formula(n, seed):
     for b, (start, stop) in enumerate(block_bounds(n)):
         got = lcem._block_sums(model, seed, b, stop - start, scratch)
         want = plain_block_sums(model, seed, b, stop - start)
-        for name, g, w in zip(BLOCK_SUM_NAMES, got, want):
+        for name, column, w in zip(BLOCK_SUM_NAMES, got.T.tolist(), want):
+            g = math.fsum(column)
             assert abs(g - w) <= 32 * EPS * w, (name, g, w)
-        partials.append(got)
+        partials.extend(got.tolist())
     assert lcem._collect_sums(model, McConfig(n_samples=n, seed=seed)) == tuple(
         math.fsum(c) for c in zip(*partials))
 
@@ -529,9 +530,9 @@ def test_block_sums_match_the_plain_formula_on_random_models(n_assets):
         model = small_model(seed=int(rng.integers(1000)), n=n_assets, k=k)
         scratch = {}
         for b, count in enumerate((BLOCK_SIZE, 17)):
-            np.testing.assert_allclose(
-                lcem._block_sums(model, 3, b, count, scratch),
-                plain_block_sums(model, 3, b, count), rtol=1e-14, atol=0)
+            got = lcem._block_sums(model, 3, b, count, scratch)
+            np.testing.assert_allclose([math.fsum(c) for c in got.T.tolist()],
+                                       plain_block_sums(model, 3, b, count), rtol=1e-14, atol=0)
 
 
 def test_compare_policies_ignores_the_blas_thread_count():
@@ -686,7 +687,7 @@ def test_signal_too_strong_is_degenerate(name, n):
 def test_non_finite_power_sums_are_degenerate(monkeypatch):
     # s**4 overflowing while q stays below 1 needs s to span some sixty
     # orders of magnitude within one sample; stubbed sums stand in for it
-    sums = (500.0, 300.0, 200.0, 100.0, 1e300, 1e300, math.inf, math.inf, 1.0, 1.0)
+    sums = np.array([[500.0, 1e300, 300.0, 1e300, 200.0, math.inf, 100.0, math.inf, 1.0, 1.0]])
     monkeypatch.setattr(lcem, "_block_sums", lambda model, seed, b, count, scratch: sums)
     with pytest.raises(DegenerateMarket, match="^signal too strong"):
         compare_policies(None, McConfig(n_samples=1000), 1.0)

@@ -11,6 +11,13 @@ computation allows.
   q_basis + sum_s p_s ||L_s'(x_s - F_s theta)||^2 = q holds within the
   bound that ``optimize_basis`` checks.
 - Coarsening: merging states never lowers the carried 1 - q.
+- Order: q, the carried 1 - q and every policy's summary are exact sums
+  over states, so permuting the states keeps their bits.
+- Sherman-Morrison per state: inv(Sigma) mu = (1 + zeta^2) inv(A) mu and
+  mu' inv(A) mu = zeta^2 / (1 + zeta^2), within the rounding that the
+  condition of A and Sigma allows.
+- Down-levering: the covariance policy's Sharpe ratio is at most the
+  second-moment policy's, and equal to it when zeta is one across states.
 """
 
 import numpy as np
@@ -25,6 +32,7 @@ from smmport import (
     SharpeBudget,
     SingularBasis,
     evaluate,
+    markowitz_policy,
     merge_states,
     optimize_basis,
     q_of,
@@ -41,10 +49,11 @@ OBJECTIVES = (SharpeBudget(risk_budget=1.5, risk_free=0.02), MeanVariance(2.0), 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, database=None)
 
 
-def random_market(draw):
+def random_market(draw, one_zeta=False):
     """A market of 1-5 states on 1-3 assets given by covariance, with each
     state's zeta near 10**u for a drawn u, sometimes all with one mean, and
-    its random generator."""
+    its random generator. With ``one_zeta`` every state is the first one's
+    mean and covariance scaled by c_s and c_s**2, so all share its zeta."""
     n = draw(st.integers(1, 3), label="assets")
     s = draw(st.integers(1, 5), label="states")
     log_zeta = draw(st.floats(-1.0, 8.0 if n == 1 else 4.0), label="log10 zeta")
@@ -57,6 +66,9 @@ def random_market(draw):
     if draw(st.booleans(), label="one mean"):
         # states that differ in risk alone: merging them loses almost no q
         mu[:] = mu[0]
+    if one_zeta:
+        c = rng.uniform(0.5, 2.0, s)
+        mu, sigma = c[:, None] * mu[0], (c * c)[:, None, None] * sigma[0]
     try:
         market = DiscreteMarket.from_arrays(probs, mu, sigma, np.zeros(s, dtype=bool))
     except NotPositiveDefinite:
@@ -141,5 +153,58 @@ def test_merging_never_lowers_one_minus_q():
         # carried 1 - q is a correctly rounded sum
         assert merged._one_minus_q >= market._one_minus_q * (1.0 - 2.0 * EPS)
         assert delta_q <= 0.0
+
+    check()
+
+
+def test_permuting_states_keeps_every_bit():
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def check(data):
+        market, _ = random_market(data.draw)
+        order = np.array(data.draw(st.permutations(range(market.n_states)), label="order"))
+        permuted = DiscreteMarket.from_arrays(market.probs[order], market.mu[order],
+                                              market.sigma[order], market.second_supplied[order])
+        assert q_of(permuted) == q_of(market)
+        assert permuted._one_minus_q == market._one_minus_q
+        for objective in OBJECTIVES:
+            assert (evaluate(permuted, smm_policy(permuted, objective)).to_dict()
+                    == evaluate(market, smm_policy(market, objective)).to_dict())
+
+    check()
+
+
+def test_sherman_morrison_per_state():
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def check(data):
+        market, _ = random_market(data.draw)
+        zeta_sq = market.conditional_sharpe_sq
+        # each solve is backward stable: its error grows with the condition
+        # of its matrix; at most 1.4 eps (cond A + cond Sigma) was seen for
+        # either identity on 3,000 random markets of this kind
+        tol = 8.0 * EPS * (np.linalg.cond(market.second_moment) + np.linalg.cond(market.sigma))
+        x_mk, x_smm = market.markowitz_directions, market.smm_directions
+        err = np.max(np.abs(x_mk - (1.0 + zeta_sq)[:, None] * x_smm), axis=1)
+        assert (err <= tol * np.max(np.abs(x_mk), axis=1)).all()
+        want = zeta_sq / (1.0 + zeta_sq)
+        assert (np.abs(market.conditional_q - want) <= tol * want).all()
+
+    check()
+
+
+def test_down_levering_never_loses_sharpe():
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def check(data):
+        one_zeta = data.draw(st.booleans(), label="one zeta")
+        market, _ = random_market(data.draw, one_zeta=one_zeta)
+        # the Sharpe ratio is scale-free, so any objective's policy serves
+        smm = evaluate(market, smm_policy(market, Kelly())).sharpe
+        mk = evaluate(market, markowitz_policy(market, Kelly())).sharpe
+        # at most 2.7 eps apart where zeta is one, on 3,000 random markets
+        assert mk <= smm * (1.0 + 8.0 * EPS)
+        if one_zeta:
+            assert abs(mk - smm) <= 8.0 * EPS * smm
 
     check()
