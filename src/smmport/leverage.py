@@ -32,24 +32,27 @@ _CHUNK_ELEMS = 1 << 16
 
 def silverman_bandwidth(xs: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 1.06 * std(x) * T**(-1/5) of a finite vector
-    of at least two samples."""
+    of at least two samples. It holds 2 * T floats beside its input: its
+    own copy of ``xs``, scaled in place, and ``np.std``'s deviations."""
     xs = _as_array(xs, "xs", 1)
     if xs.size < 2:
         raise DomainError("need at least two samples")
     # np.std squares deviations, which overflow past ~1e154. Scaling by
     # 2**-k with |x| < 2**k keeps them small; a power of two is exact,
     # so the result has the same bits as an unscaled std.
-    k = math.frexp(float(np.max(np.abs(xs), initial=0.0)))[1]
-    std = float(np.std(np.ldexp(xs, -k), ddof=1))
+    k = math.frexp(max(float(xs.max()), -float(xs.min())))[1]
+    std = float(np.std(np.ldexp(xs, -k, out=xs), ddof=1))
     return 1.06 * math.ldexp(std, k) * xs.size ** (-0.2)
 
 
-def nw_sums(xs, ys, grid, bandwidth):
+def nw_sums(xs, y, grid, bandwidth, powers: int):
     """Gaussian-kernel weight sums for Nadaraya-Watson regression.
 
     Returns ``(den, num)`` where ``den[j]`` is the total kernel mass at
-    grid point j and ``num[r, j]`` the mass-weighted sum of response
-    row r. ``ys`` has shape (n_responses, n_samples).
+    grid point j and ``num[r, j]`` the mass-weighted sum of y**(r + 1),
+    for r below ``powers``. ``y`` has one entry per sample. Its powers
+    are formed a block at a time, y**(r + 1) as y**r * y, and only as many
+    as asked for, so y is never squared for ``powers`` = 1.
 
     The weight of sample t at grid point j is exp(-v**2) with
     v = (grid[j] - xs[t]) * scale and scale = sqrt(1/2) / bandwidth: the
@@ -72,18 +75,22 @@ def nw_sums(xs, ys, grid, bandwidth):
     order or FMA use: a subtraction's value (a zero's sign may differ,
     and squaring drops it), so the weights have a subtraction's bits.
     Each block's mass is taken as a product with one ones vector of
-    block length, so memory beyond the inputs and outputs stays bounded
+    block length, and its response powers are formed in one reused
+    (powers, rows) buffer. So beyond the inputs and outputs the memory
+    held is one scratch block plus (powers, rows) response rows,
     whatever T is.
     """
     n_samples, n_grid = xs.size, grid.size
     rows = max(1, _CHUNK_ELEMS // max(n_grid, 1))
+    block = min(rows, n_samples)
     scale = min(math.sqrt(0.5) / bandwidth, sys.float_info.max)
-    scratch = np.empty((min(rows, n_samples), n_grid))
-    ones = np.ones(min(rows, n_samples))
-    left = np.ones((min(rows, n_samples), 2))
+    scratch = np.empty((block, n_grid))
+    ones = np.ones(block)
+    left = np.ones((block, 2))
     right = np.stack([grid, np.ones(n_grid)])
+    pows = np.empty((powers, block))
     den = np.zeros(n_grid)
-    num = np.zeros((ys.shape[0], n_grid))
+    num = np.zeros((powers, n_grid))
     for lo in range(0, n_samples, rows):
         hi = min(lo + rows, n_samples)
         w = scratch[:hi - lo]
@@ -94,15 +101,20 @@ def nw_sums(xs, ys, grid, bandwidth):
         np.negative(w, out=w)
         np.exp(w, out=w)
         den += ones[:hi - lo] @ w
-        num += ys[:, lo:hi] @ w
+        p = pows[:, :hi - lo]
+        p[0] = y[lo:hi]
+        for r in range(1, powers):
+            np.multiply(p[r - 1], p[0], out=p[r])
+        num += p @ w
     return den, num
 
 
-def _nw_estimates(xs, ys, grid, bandwidth: float):
-    """Nadaraya-Watson estimates of each response row of ``ys`` at the
-    grid points with enough kernel mass, and the mask of those points."""
+def _nw_estimates(xs, y, grid, bandwidth: float, powers: int):
+    """Nadaraya-Watson estimates of E[y**(r + 1) | x] for r below
+    ``powers`` at the grid points with enough kernel mass, and the mask
+    of those points."""
     with np.errstate(over="ignore", invalid="ignore"):
-        den, num = nw_sums(xs, ys, grid, bandwidth)
+        den, num = nw_sums(xs, y, grid, bandwidth, powers)
         mask = den >= MIN_KERNEL_MASS
         est = num[:, mask] / den[mask]
     if not np.isfinite(est).all():
@@ -125,7 +137,7 @@ def kernel_regress(xs, ys, grid, bandwidth: float) -> np.ndarray:
         raise ShapeMismatch("xs and ys must have equal length")
     if xs.size < 2:
         raise DomainError("need at least two samples")
-    mask, est = _nw_estimates(xs, ys[None, :], grid, _positive(bandwidth, "bandwidth"))
+    mask, est = _nw_estimates(xs, ys, grid, _positive(bandwidth, "bandwidth"), 1)
     out = np.full(grid.size, np.nan)
     out[mask] = est[0]
     return out
@@ -199,6 +211,11 @@ def leverage_curve(
 
     ``bandwidth`` and ``floor`` must be finite and positive. Returns so
     large that an estimate is not finite raise ``DomainError``.
+
+    Beyond the sample's own arrays, memory held is :func:`nw_sums`' one
+    scratch block plus its (2, rows) response rows y and y * y, whatever
+    the sample's length T; the default bandwidth adds 2 * T floats while
+    :func:`silverman_bandwidth` runs.
     """
     if grid is None:
         grid = np.linspace(float(sample.x.min()), float(sample.x.max()),
@@ -213,9 +230,7 @@ def leverage_curve(
         hint = " (constant leverage sample needs an explicit bandwidth)"
     bandwidth = _positive(bandwidth, "bandwidth", hint)
 
-    with np.errstate(over="ignore"):
-        ys = np.vstack([sample.y, sample.y * sample.y])
-    mask, (m_hat, s_raw) = _nw_estimates(sample.x, ys, grid, bandwidth)
+    mask, (m_hat, s_raw) = _nw_estimates(sample.x, sample.y, grid, bandwidth, 2)
 
     if floor is None:
         floor = max(1e-8 * float(s_raw.max(initial=0.0)), np.finfo(np.float64).tiny)

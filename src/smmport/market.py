@@ -438,8 +438,10 @@ def merge_states(
 
     The merged state carries its members' probability-weighted mean and
     second moment and, not A - mu mu', which cancels as q nears 1, their
-    risk plus the spread of their means as its covariance. It is placed at
-    the smallest merged index. Only the merged state is checked, by
+    risk plus the spread of their means as its covariance, by which it is
+    given: ``to_dict`` writes that covariance, so the written market reads
+    back valid. It is placed at the smallest merged index. Only the merged
+    state is checked, by
     :func:`moments._pair_stacks`, and solved; the other states keep their
     checked stacks and solved rows, bit for bit, and the new market is
     finished as every market is (probabilities, q). Returns the new market and
@@ -477,7 +479,7 @@ def merge_states(
                                            e[:, :, None] * e[:, None, :]]))
     merged, _ = _pair_stacks(mu_m, sums[None, 1:, 1:] / p_merged, np.array([True]),
                              sigma=risk[None] / p_merged)
-    merged["probs"] = np.array([p_merged])
+    merged["probs"], merged["second_supplied"] = np.array([p_merged]), np.array([False])
     merged.update(_solve_states(merged))
     keep = np.ones(market.n_states, dtype=bool)
     keep[idx[1:]] = False

@@ -21,6 +21,7 @@ from smmport import (
     HedgeConstraint,
     Kelly,
     MeanVariance,
+    NotPositiveDefinite,
     PerfSummary,
     SharpeBudget,
     evaluate,
@@ -34,6 +35,7 @@ from smmport import (
 )
 from smmport.cli import main
 from smmport.hedging import CONDITION_LIMIT
+from smmport.moments import PIVOT_RTOL
 from conftest import random_market
 
 mpmath = pytest.importorskip("mpmath")
@@ -213,6 +215,21 @@ def test_merged_market_carries_one_minus_q(capsys, tmp_path, zeta):
     assert "NaN" not in out and "Infinity" not in out
     assert json.loads(out)["delta_q"] <= 0.0
 
+    # written by the covariance it carries, the merged market reads back
+    # with the same Sigma and 1 - q and solves again; written by its second
+    # moment, it would derive Sigma as A - mu mu', which cancels at 1e9
+    written = json.loads(out)["merged_market"]
+    assert "sigma" in written["states"][0]
+    again = DiscreteMarket.from_dict(written)
+    assert again.sigma.tobytes() == merged.sigma.tobytes()
+    assert again._one_minus_q == merged._one_minus_q
+    path.write_text(json.dumps(written))
+    for name in OBJECTIVES:
+        rc = main(["solve-discrete", "--market", str(path), "--objective", name])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, ""), name
+        assert "NaN" not in out and "Infinity" not in out, name
+
 
 # --- random markets ------------------------------------------------------
 
@@ -337,3 +354,50 @@ def test_spanned_q_near_the_condition_limit(seed):
     c = np.abs(sol.multipliers)
     allowance = 4.0 * c.size * EPS * float(c @ np.abs(sol.m_mat) @ c)
     assert abs(mpmath.mpf(sol.spanned_q) - spanned_q) <= allowance
+
+
+def pivot_states(rng, ratio, n_states=4, n_assets=3):
+    """States whose sigma's last squared Cholesky pivot is ``ratio`` *
+    PIVOT_RTOL of its largest diagonal entry: the pivot markets of
+    tests/test_stacked_market.py, made dense, with means, and every state at
+    the guard, so that the digits lost there show in q and 1 - q. Each
+    sigma is exactly symmetric, so the market reads it unchanged."""
+    states = []
+    for _ in range(n_states):
+        lower = np.tril(rng.standard_normal((n_assets, n_assets)))
+        np.fill_diagonal(lower, np.exp(rng.uniform(-1.0, 1.0, n_assets)))
+        sq = lower[-1, :-1] @ lower[-1, :-1]
+        top = max(np.max(np.einsum("ij,ij->i", lower[:-1], lower[:-1])), sq)
+        lower[-1, -1] = math.sqrt(ratio * PIVOT_RTOL * top / (1.0 - ratio * PIVOT_RTOL))
+        sigma = lower @ lower.T
+        states.append({"prob": 1.0 / n_states, "mu": (0.3 * rng.standard_normal(n_assets)).tolist(),
+                       "sigma": (np.triu(sigma) + np.triu(sigma, 1).T).tolist()})
+    return states
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_q_and_directions_at_the_pivot_guard(seed):
+    """Just below PIVOT_RTOL the market is rejected; just above it, q and
+    the SMM directions (normwise) must stay within 3 eps cond(A) of 50-digit
+    mpmath on the same float inputs, and the carried 1 - q within
+    3 eps cond(Sigma), with cond(Sigma) 1e10 to 6e11. These seeds reach at
+    most 0.08 of a bound on any of OpenBLAS's kernels: q keeps 12 to 15
+    digits, the directions 11 to 14, and 1 - q only 5.6 to 7.6."""
+    below = pivot_states(np.random.default_rng(seed), 0.999)
+    with pytest.raises(NotPositiveDefinite, match="^state 0: sigma is numerically singular"):
+        DiscreteMarket.from_dict({"states": below})
+    states = pivot_states(np.random.default_rng(seed), 1.001)
+    market = DiscreteMarket.from_dict({"states": states})
+    with mpmath.workdps(50):
+        q = one_minus_q = worst = 0
+        for p, state, x in zip(market.probs, states, market.smm_directions):
+            mu, sigma = mpmath.matrix(state["mu"]), mpmath.matrix(state["sigma"])
+            x_exact = mpmath.lu_solve(sigma + mu * mu.T, mu)
+            zeta_sq = (mu.T * mpmath.lu_solve(sigma, mu))[0]
+            q += mpmath.mpf(p) * (mu.T * x_exact)[0]
+            one_minus_q += mpmath.mpf(p) / (1 + zeta_sq)
+            worst = max(worst, mpmath.norm(mpmath.matrix(x.tolist()) - x_exact)
+                        / mpmath.norm(x_exact))
+    bound = 3 * EPS * np.linalg.cond(market.second_moment).max()
+    assert rel(q_of(market), q) <= bound and worst <= bound
+    assert rel(market._one_minus_q, one_minus_q) <= 3 * EPS * np.linalg.cond(market.sigma).max()

@@ -222,7 +222,7 @@ def test_nw_sums_chunk_boundaries(n_grid, t_count):
     ys = np.vstack([y, y * y])
     grid = np.linspace(0.0, 3.0, n_grid)
     h = 0.3
-    den, num = leverage.nw_sums(xs, ys, grid, h)
+    den, num = leverage.nw_sums(xs, y, grid, h, 2)
     want_den, want_num = _fsum_oracle(xs, ys, grid, h)
     np.testing.assert_allclose(den, want_den, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(num, want_num, rtol=1e-13, atol=0.0)
@@ -232,11 +232,12 @@ def test_nw_sums_chunk_boundaries(n_grid, t_count):
 
 
 def _leverage_shaped(seed, t_count=20_000):
-    """xs and response rows shaped like the leverage workload's data."""
+    """xs, y and the response rows [y; y * y], shaped like the leverage
+    workload's data."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.5, 2.5, t_count)
     y = rng.uniform(0.5, 1.5, t_count)
-    return xs, np.vstack([y, y * y])
+    return xs, y, np.vstack([y, y * y])
 
 
 @pytest.mark.parametrize("u_max", [30.0, 38.0, 40.0])
@@ -244,10 +245,10 @@ def test_nw_sums_across_exp_range(u_max):
     # T = 2e4 samples and G = 101 points over their range; the farthest
     # pairs reach |u| = u_max, where exp(-u**2 / 2) turns subnormal (38)
     # or underflows to 0 (40)
-    xs, ys = _leverage_shaped(int(u_max))
+    xs, y, ys = _leverage_shaped(int(u_max))
     grid = np.linspace(0.5, 2.5, 101)
     h = 2.0 / u_max
-    den, num = leverage.nw_sums(xs, ys, grid, h)
+    den, num = leverage.nw_sums(xs, y, grid, h, 2)
     want_den, want_num = _fsum_oracle(xs, ys, grid, h)
     np.testing.assert_allclose(den, want_den, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(num, want_num, rtol=1e-13, atol=0.0)
@@ -262,9 +263,9 @@ def test_nw_sums_beyond_the_sample(h):
     # exp(-e) carries the rounding of its exponent e times e, so at
     # point j the sums may differ from the oracle by a few eps times
     # e_j, the exponent of the heaviest weight (~2e-13 near e = 690).
-    xs, ys = _leverage_shaped(46)
+    xs, y, ys = _leverage_shaped(46)
     grid = np.linspace(2.5, 2.5 + 40.0 * h, 101)
-    den, num = leverage.nw_sums(xs, ys, grid, h)
+    den, num = leverage.nw_sums(xs, y, grid, h, 2)
     want_den, want_num = _fsum_oracle(xs, ys, grid, h)
     mask = den >= leverage.MIN_KERNEL_MASS
     np.testing.assert_array_equal(mask, want_den >= leverage.MIN_KERNEL_MASS)
@@ -292,7 +293,8 @@ def test_huge_samples_on_their_grid_points():
 
 def _broadcast_nw_sums(xs, ys, grid, bandwidth):
     """nw_sums with each block's differences formed by a broadcast
-    subtract, in the same blocks, buffers and passes otherwise."""
+    subtract, and its response rows sliced from the stacked (rows, T)
+    array ``ys``, in the same blocks, buffers and passes otherwise."""
     n_samples, n_grid = xs.size, grid.size
     rows = max(1, leverage._CHUNK_ELEMS // max(n_grid, 1))
     scale = min(math.sqrt(0.5) / bandwidth, sys.float_info.max)
@@ -345,27 +347,43 @@ _DIFFERENCE_CASES = _difference_cases()
 @pytest.mark.parametrize("case", list(_DIFFERENCE_CASES))
 def test_nw_sums_matches_broadcast_difference(case, h):
     # the rank-2 product [1, -x_t] @ [grid; 1] multiplies only by 1, so
-    # it must give the subtract's weights and sums bit for bit
+    # it must give the subtract's weights and sums bit for bit; the
+    # response powers formed per block must give the sums of the stacked
+    # [y; y * y], and y alone those of its one row
     xs, grid, own_h = _DIFFERENCE_CASES[case]
     y = np.random.default_rng(xs.size).uniform(-1.0, 1.0, xs.size)
-    ys = np.vstack([y, y * y])
-    for bandwidth in (h, own_h) if own_h is not None else (h,):
-        with np.errstate(over="ignore"):
-            got = leverage.nw_sums(xs, ys, grid, bandwidth)
-            want = _broadcast_nw_sums(xs, ys, grid, bandwidth)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b, equal_nan=True), (case, bandwidth)
-            assert np.array_equal(np.signbit(a), np.signbit(b)), (case, bandwidth)
+    for powers, ys in ((2, np.vstack([y, y * y])), (1, y[None, :])):
+        for bandwidth in (h, own_h) if own_h is not None else (h,):
+            with np.errstate(over="ignore"):
+                got = leverage.nw_sums(xs, y, grid, bandwidth, powers)
+                want = _broadcast_nw_sums(xs, ys, grid, bandwidth)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True), (case, powers, bandwidth)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (case, powers, bandwidth)
+
+
+def _traced_peak(call):
+    """call() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_leverage_curve_memory_bound():
-    # a dense T x G weight matrix at T = 2e5, G = 101 traces ~490 MB
-    sample, _, _ = synthetic_sample(seed=45, t_count=200_000)
-    tracemalloc.start()
-    try:
-        curve = leverage_curve(sample)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # a dense T x G weight matrix at T = 2e5, G = 101 traces ~490 MB. Beyond
+    # the sample's own arrays a curve holds one 512 KB weight block and
+    # (2, rows) response rows, whatever T is (a stacked [y; y * y] alone
+    # would take 3.2 MB), and the bandwidth its own copy of x, scaled in
+    # place, and np.std's deviations
+    t_count = 200_000
+    sample, _, _ = synthetic_sample(seed=45, t_count=t_count)
+    curve, peak = _traced_peak(lambda: leverage_curve(sample))
     assert curve.n_points == 101
     assert peak < 16e6
+    h, peak = _traced_peak(lambda: silverman_bandwidth(sample.x))
+    assert peak <= 2 * 8 * t_count + 64 * 1024
+    curve, peak = _traced_peak(lambda: leverage_curve(sample, bandwidth=h))
+    assert curve.n_points == 101
+    assert peak < 1e6

@@ -501,12 +501,15 @@ def test_market_dict_round_trip(two_state_market):
     clone = DiscreteMarket.from_dict(two_state_market.to_dict())
     assert q_of(clone) == q_of(two_state_market)
     # second-moment parameterization survives the round trip
+    given = DiscreteMarket([(1.0, MomentPair.from_second_moment([1.0], [[4.0]]))])
+    again = DiscreteMarket.from_dict(given.to_dict())
+    assert again.states[0][1].supplied == "second_moment"
+    np.testing.assert_array_equal(again.second_moment, given.second_moment)
+    # a merged state is written by the covariance it carries
     merged, _ = merge_states(two_state_market, [0, 1])
     again = DiscreteMarket.from_dict(merged.to_dict())
-    assert again.states[0][1].supplied == "second_moment"
-    np.testing.assert_array_equal(
-        again.states[0][1].second_moment, merged.states[0][1].second_moment
-    )
+    assert again.states[0][1].supplied == "sigma"
+    np.testing.assert_array_equal(again.sigma, merged.sigma)
 
 
 def test_market_from_dict_errors():

@@ -212,6 +212,20 @@ def test_scaling_constant_degenerate_and_domain():
             scaling_constant(bad_q, Kelly())
 
 
+@pytest.mark.parametrize("helper, name", [
+    (lambda v: scaling_constant(v, Kelly()), "q"),
+    (lambda v: optimal_objective_value(v, Kelly()), "q"),
+    (tas, "hansen"),
+    (itas, "sharpe"),
+], ids=["scaling_constant", "optimal_objective_value", "tas", "itas"])
+@pytest.mark.parametrize("bad", ["x", "0.5", None, [0.5], math.inf, -math.inf, math.nan])
+def test_scalar_helpers_name_a_bad_scalar(helper, name, bad):
+    # text, None, a vector and a non-finite value each raise one named
+    # error, never a bare ValueError or TypeError, a NaN or a parsed string
+    with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+        helper(bad)
+
+
 @pytest.mark.parametrize("solve", [scaling_constant, optimal_objective_value])
 def test_unknown_objective_rejected(solve):
     with pytest.raises(DomainError, match="^unknown objective 'sharpe'$"):

@@ -459,7 +459,8 @@ def test_merge_keeps_other_rows_and_merges_the_mixture(n_states):
                          getattr(market, name)[[kept[j] for j in others]])
 
     p_m, by_second, by_sigma = merged_pairs(market, subset)
-    assert merged.probs[k] == p_m and merged.second_supplied[k]
+    # given by the covariance it carries, so to_dict writes that one
+    assert merged.probs[k] == p_m and not merged.second_supplied[k]
     # the A side as the mixture's second moment; the Sigma side formed on
     # its own, never as A - mu mu'
     for name in ("mu", "second_moment", "chol_second"):
@@ -666,16 +667,15 @@ def test_merge_equals_the_market_rebuilt_from_merged_arrays():
         merged, delta_q = merge_states(market, subset)
         want = rebuilt_merge(market, subset)
         # the merged row's Sigma side is the oracle's covariance pair, not
-        # the rebuilt A_m - mu_m mu_m'; every other row and stack is the
-        # rebuilt market's
+        # the rebuilt A_m - mu_m mu_m', and the row is given by it; every
+        # other row and stack is the rebuilt market's
         _, by_second, by_sigma = merged_pairs(market, subset)
         sigma_side = {"sigma": by_sigma.sigma, "chol_sigma": by_sigma.chol_sigma,
-                      **merged_solves(by_second, by_sigma)}
+                      "second_supplied": False, **merged_solves(by_second, by_sigma)}
         k = min(subset)
         for name in STACKS:
             rows = np.array(getattr(want, name))
-            if name in ("sigma", "chol_sigma", "markowitz_directions",
-                        "conditional_sharpe_sq"):
+            if name in sigma_side:
                 rows[k] = sigma_side[name]
             assert_same_bits(getattr(merged, name), rows)
         assert q_of(merged).hex() == q_of(want).hex()
