@@ -18,6 +18,8 @@ which. Identical invocations produce byte-identical output; numbers are
 serialized with 17 significant digits so values round-trip losslessly;
 the floats of a matrix, a row or a CSV table are formatted in one call.
 Each command imports the modules it runs, so a cold call loads no others.
+A process enters through :func:`smmport.__main__.run`, which calls
+:func:`main`; tests and library callers call :func:`main` directly.
 """
 
 from __future__ import annotations
@@ -334,7 +336,3 @@ def main(argv=None) -> int:
         return 2 if invalid and not isinstance(exc, np.linalg.LinAlgError) else 1
     sys.stdout.write(payload)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

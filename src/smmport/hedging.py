@@ -70,6 +70,16 @@ from .moments import (
 CONDITION_LIMIT = 1e12
 
 
+def _gram_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (S, K, L) stack of a_s' b_s for (S, n, K) ``a`` and (S, n, L)
+    ``b``. einsum contracts contiguous (n, K, S) copies: with the state
+    axis innermost its loops run about ten times faster than over a
+    few-wide axis. Entry (k, l) and entry (l, k) of ``_gram_stack(a, a)``
+    are the same products summed in the same order."""
+    a_t, b_t = (np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in (a, b))
+    return np.moveaxis(np.einsum("nks,nls->kls", a_t, b_t), -1, 0)
+
+
 def _check_terms(name: str, *stacks: np.ndarray) -> None:
     """Raise DomainError naming the first ``name`` whose per-state terms
     overflow: element k owns index k of axis 1 of each (S, K, ...) stack.
@@ -201,7 +211,7 @@ def solve_hedge(
     p = market.probs
     with np.errstate(over="ignore", invalid="ignore"):
         x = _chol_solve(market.chol_second, g)
-        m_terms = p[:, None, None] * np.einsum("sni,snj->sij", g, x)
+        m_terms = p[:, None, None] * _gram_stack(g, x)
         b_terms = p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions)
     _check_terms("constraint", m_terms, b_terms)
     sums = _fsum(np.concatenate([m_terms, b_terms[:, :, None]], axis=2))
@@ -281,12 +291,11 @@ def optimize_basis(
     ], axis=-1)
     p = market.probs
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.einsum("sji,sjk->sik", market.chol_second, f)
-        gram_terms = p[:, None, None] * np.einsum("sik,sil->skl", y, y)
+        y = _gram_stack(market.chol_second, f)
+        gram_terms = p[:, None, None] * _gram_stack(y, y)
         mu_terms = p[:, None] * np.einsum("sik,si->sk", f, market.mu)
     _check_terms("basis", gram_terms, mu_terms)
-    # y_k . y_l and y_l . y_k are the same products summed in the same order
-    gram = _fsum_symmetric(gram_terms)
+    gram = _fsum_symmetric(gram_terms)  # each term is exactly symmetric
     mu_tilde = _fsum(mu_terms)
 
     try:  # with mu = 0, A = Sigma: the moment-pair check validates the Gram matrix

@@ -386,7 +386,12 @@ def _second_moment(market: DiscreteMarket, w: np.ndarray) -> float:
     which ``solve_hedge`` takes as q_g. One that overflows raises
     :class:`DomainError`."""
     y = np.einsum("sji,sj->si", market.chol_second, w)
-    terms = market.probs * np.einsum("si,si->s", y, y)
+    return _second_moment_sum(market.probs * np.einsum("si,si->s", y, y))
+
+
+def _second_moment_sum(terms: np.ndarray) -> float:
+    """The sum of a policy's per-state second-moment ``terms``; one that
+    overflows raises :class:`DomainError`."""
     second = _fsum(terms) if np.isfinite(terms).all() else math.inf
     if not math.isfinite(second):
         raise DomainError("the policy's second moment overflows: its weights are too large")
@@ -419,15 +424,23 @@ def markowitz_policy(market: DiscreteMarket, objective: Objective) -> Policy:
     Suboptimal in general: it misses the per-state down-levering of the
     second-moment direction. With zeta_s^2 = mu_s' inv(Sigma_s) mu_s, the
     unit policy has mean m = E[zeta^2], second moment s = E[zeta^2 (1 +
-    zeta^2)] and variance v, all from :func:`evaluate`.
+    zeta^2)] and variance v = E[zeta^2] + E[(zeta^2 - m)^2], the values
+    :func:`evaluate` gives it, summed from the solved zeta^2 alone.
     """
-    unit = evaluate(market, Policy(market.markowitz_directions))
-    if unit.second_moment == 0.0:
+    unit = Policy(market.markowitz_directions)  # names a state whose direction is not finite
+    p, z2 = market.probs, market.conditional_sharpe_sq
+    with np.errstate(over="ignore"):  # an overflowing term is named below
+        terms = p * z2 * (1.0 + z2)
+    second = _second_moment_sum(terms)
+    if second == 0.0:
         raise DegenerateMarket("unit covariance policy is zero: it has zero risk, "
                                "zero variance and zero second moment")
-    k = unit.mean / unit.second_moment
-    c = _optimum(k * unit.mean, unit.variance / unit.second_moment, objective, k)[0]
-    return Policy(c * market.markowitz_directions)
+    mean = _fsum(p * z2)
+    spread = z2 - mean
+    variance = mean + _fsum(p * spread * spread)
+    k = mean / second
+    c = _optimum(k * mean, variance / second, objective, k)[0]
+    return unit.scaled(c)
 
 
 def merge_states(

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -187,14 +189,19 @@ def test_linalg_error_is_numerical_error(capsys, monkeypatch, two_state_market_p
     assert rc == 1 and out == "" and "Singular matrix" in err
 
 
+def _cold_env():
+    """The environment for a new interpreter that imports this smmport."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smmport.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _loaded_in_fresh_process(code: str, cwd=None) -> tuple[set, set]:
     """The smmport submodules, and all modules, loaded once ``code`` has
     run in a new interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(smmport.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+                         cwd=cwd, env=_cold_env())
     assert out.returncode == 0, out.stderr
     modules = set(json.loads(out.stdout.splitlines()[-1]))
     return {m[len("smmport."):] for m in modules if m.startswith("smmport.")}, modules
@@ -608,6 +615,84 @@ def test_repeated_runs_byte_identical(two_state_market_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+# The six calls of the benchmark's cold-CLI workload, one numerical
+# failure (exit 1) and one invalid input (exit 2); paths are relative to
+# a directory that entry_point_dir fills.
+ENTRY_POINT_CALLS = {
+    "solve-discrete": ["solve-discrete", "--market", "market.json", "--objective", "sharpe"],
+    "solve-hedge": ["solve-discrete", "--market", "market.json", "--objective", "kelly",
+                    "--constraints", "constraints.json"],
+    "merge-states": ["merge-states", "--market", "market.json", "--subset", "0,1"],
+    "simulate-lcem": ["simulate-lcem", "--model", "model.json", "--n", "150000",
+                      "--seed", "7"],
+    "leverage-audit": ["leverage-audit", "--csv", "leverage.csv"],
+    "flatten": ["flatten", "--returns", "r.csv", "--features", "f.csv", "--out", "flat.csv"],
+    "not-positive-definite": ["solve-discrete", "--market", "not_pd.json"],
+    "invalid-json": ["solve-discrete", "--market", "broken.json"],
+}
+ENTRY_POINT_EXIT = {"not-positive-definite": 1, "invalid-json": 2}
+
+
+@pytest.fixture
+def entry_point_dir(tmp_path):
+    for name, sample in [("market.json", "two_state_market.json"),
+                         ("constraints.json", "hedge_constraints.json"),
+                         ("model.json", "lcem_model.json"),
+                         ("leverage.csv", "leverage_history.csv")]:
+        shutil.copyfile(os.path.join(SAMPLES, sample), tmp_path / name)
+    rng = np.random.default_rng(3)
+    for name, prefix, cols in [("r.csv", "r", 3), ("f.csv", "f", 4)]:
+        rows = rng.standard_normal((50, cols)).tolist()
+        (tmp_path / name).write_text(
+            ",".join(f"{prefix}{j}" for j in range(cols)) + "\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    write_json(tmp_path / "not_pd.json", {"states": [
+        {"prob": 0.5, "mu": [1.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        {"prob": 0.5, "mu": [1.0, 1.0], "sigma": [[1.0, 9.0], [9.0, 1.0]]}]})
+    (tmp_path / "broken.json").write_text("{not json")
+    return tmp_path
+
+
+# The installed script imports run from smmport.__main__ and exits with
+# its status, as setuptools' console-script wrapper does.
+SCRIPT = "import sys\nfrom smmport.__main__ import run\nsys.exit(run())\n"
+ENTRY_POINTS = {
+    "module": ["-m", "smmport"],
+    "module-dev": ["-X", "dev", "-W", "error", "-m", "smmport"],
+    "script": ["-c", SCRIPT],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("call", ENTRY_POINT_CALLS)
+def test_entry_point_matches_in_process_main(capsys, monkeypatch, entry_point_dir, call,
+                                             entry):
+    monkeypatch.chdir(entry_point_dir)
+    argv = ENTRY_POINT_CALLS[call]
+    want = run_cli(capsys, *argv)
+    assert want[0] == ENTRY_POINT_EXIT.get(call, 0)
+    flat = entry_point_dir / "flat.csv"
+    want_flat = flat.read_bytes() if flat.exists() else None
+    if want_flat is not None:
+        flat.unlink()
+    got = subprocess.run([sys.executable, *ENTRY_POINTS[entry], *argv], capture_output=True,
+                         cwd=entry_point_dir, env=_cold_env())
+    assert (got.returncode, got.stdout, got.stderr) == (
+        want[0], want[1].encode(), want[2].encode())
+    assert (flat.read_bytes() if flat.exists() else None) == want_flat
+
+
+def test_main_leaves_the_collector_as_it_was(capsys, two_state_market_path):
+    # the freeze belongs to the process entry point, never to main
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    for argv in (["solve-discrete", "--market", two_state_market_path],
+                 ["solve-discrete", "--market", "/no/such.json"]):
+        run_cli(capsys, *argv)
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("which", ["returns", "features"])

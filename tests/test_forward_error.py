@@ -138,6 +138,32 @@ def test_scale_value_and_summary_against_mpmath(capsys, tmp_path, zeta, name):
         assert np.array(out["policy"], dtype=float).tobytes() == market.smm_directions.tobytes()
 
 
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+@pytest.mark.parametrize("zeta", ZETAS)
+def test_markowitz_policy_against_mpmath(zeta, name):
+    # conditional Sharpe zeta and zeta / 2: the unit covariance policy's
+    # variance has a spread of the state means as well as the within-state risk
+    states = [{"prob": 0.25, "mu": [1.0], "sigma": [[1.0 / zeta / zeta]]},
+              {"prob": 0.75, "mu": [0.5], "sigma": [[1.0 / zeta / zeta]]}]
+    objective = OBJECTIVES[name][0]
+    got = markowitz_policy(DiscreteMarket.from_dict({"states": states}), objective).weights
+    with mpmath.workdps(50):
+        p, mu, sigma = ([mpmath.mpf(np.ravel(s[key])[0]) for s in states]
+                        for key in ("prob", "mu", "sigma"))
+        z2 = [m * m / s for m, s in zip(mu, sigma)]
+        mean = sum(pi * zi for pi, zi in zip(p, z2))
+        second = sum(pi * zi * (1 + zi) for pi, zi in zip(p, z2))
+        variance = second - mean * mean
+        if isinstance(objective, SharpeBudget):
+            scale = objective.risk_budget / mpmath.sqrt(variance)
+        elif isinstance(objective, MeanVariance):
+            scale = objective.risk_param * mean / (2 * variance)
+        else:
+            scale = mean / second
+        for w, m, s in zip(got, mu, sigma):
+            assert rel(w[0], scale * m / s) <= RTOL
+
+
 @pytest.mark.parametrize("zeta", ZETAS)
 def test_hedging_example_c1_against_mpmath(zeta):
     # the numerator w'mu (1 - q) takes the market's carried 1 - q

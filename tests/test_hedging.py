@@ -26,10 +26,10 @@ from smmport import (
     smm_policy,
     solve_hedge,
 )
-from smmport import DiscreteMarket
-from smmport.hedging import CONDITION_LIMIT
+from smmport import DiscreteMarket, hedging
+from smmport.hedging import CONDITION_LIMIT, _gram_stack
 from smmport.market import Q_CONSISTENCY_TOL
-from smmport.moments import _chol_solve
+from smmport.moments import _chol_solve, _fsum_symmetric
 from conftest import random_market
 
 
@@ -547,3 +547,28 @@ def test_wrong_multipliers_fail_the_split_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda m, b: solve(m, b) * (1.0 + 1e-6))
     with pytest.raises(SmmError, match="q_g \\+ spanned_q"):
         solve_hedge(market, constraints, Kelly())
+
+
+@pytest.mark.parametrize("s, n, k", [(1, 1, 1), (7, 3, 2), (300, 4, 3), (40, 5, 6)])
+def test_gram_stacks_are_symmetric_and_match_state_first_einsum(monkeypatch, s, n, k):
+    """The basis Gram stack that optimize_basis sums is exactly symmetric,
+    which _fsum_symmetric relies on; each per-state product of the stacks
+    it and solve_hedge form matches einsum over the state-first stacks to
+    4 eps of the sum of absolute products."""
+    rng = np.random.default_rng(100 * s + 10 * n + k)
+    market = random_market(rng, n_assets=n, n_states=s)
+    basis = [rng.standard_normal((s, n)) for _ in range(k)]
+    seen = []
+    monkeypatch.setattr(hedging, "_fsum_symmetric",
+                        lambda terms: seen.append(terms) or _fsum_symmetric(terms))
+    optimize_basis(market, basis, Kelly())
+    (terms,) = seen
+    assert np.array_equal(terms, np.swapaxes(terms, 1, 2))
+
+    f = np.stack(basis, axis=-1)
+    y = _gram_stack(market.chol_second, f)
+    g = rng.standard_normal((s, n, 2))
+    for a, b in [(market.chol_second, f), (y, y), (g, _chol_solve(market.chol_second, g))]:
+        want = np.einsum("sni,snj->sij", a, b)
+        bound = 4 * np.finfo(float).eps * np.einsum("sni,snj->sij", abs(a), abs(b))
+        assert np.all(abs(_gram_stack(a, b) - want) <= bound)

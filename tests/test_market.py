@@ -217,6 +217,20 @@ def test_policy_scale_overflow_names_parameter(solve, mu, objective, name):
         solve(_one_state(mu), objective)
 
 
+@pytest.mark.parametrize("mu, sigma, message", [
+    # inv(Sigma) mu is 1e350
+    (1e150, 1e-200, "^weights: state 0: non-finite entries$"),
+    # inv(Sigma) mu is 1e200, but zeta^2 (1 + zeta^2) is 1e600
+    (1e100, 1e-100, "^the policy's second moment overflows: its weights are too large$"),
+], ids=["direction", "second-moment"])
+def test_markowitz_policy_names_overflow(mu, sigma, message):
+    market = DiscreteMarket([(0.5, MomentPair.from_covariance([mu], [[sigma]])),
+                             (0.5, MomentPair.from_covariance([1.0], [[1.0]]))])
+    for objective in (SharpeBudget(), MeanVariance(risk_param=1.0), Kelly()):
+        with pytest.raises(DomainError, match=message):
+            markowitz_policy(market, objective)
+
+
 def test_markowitz_mean_variance_scale_has_no_intermediate_overflow():
     # risk_param * mean alone would overflow; the scale is 1e308 * 4 / 8
     policy = markowitz_policy(_one_state(2.0), MeanVariance(risk_param=1e308))
