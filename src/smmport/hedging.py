@@ -18,9 +18,10 @@ classical single-period problem on pseudo-assets whose q splits alike.
 
 Per-state portfolio functions (a constraint's ``g`` and ``target``, the
 elements of a basis) are (S, n) arrays with one row per state. M, b and
-the basis Gram matrix come from batched solves and ``einsum`` against
-the market's stacked Cholesky factors, summed over states exactly by
-``moments._fsum`` as in :mod:`smmport.market`.
+the basis Gram matrix come from batched solves and per-state products
+(``moments._products`` and ``moments._gram_stack``) against the market's
+stacked Cholesky factors, summed over states exactly by ``moments._fsum``
+as in :mod:`smmport.market`.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ from .moments import (
     _chol_solve,
     _fsum,
     _fsum_symmetric,
+    _gram_stack,
     _lock,
     _optimum,
     _pair_stacks,
+    _products,
     _sym,
 )
 
@@ -68,16 +71,6 @@ from .moments import (
 # states), spanned_q kept 7 to 10 significant digits against 50-digit
 # mpmath, at most 0.04 of the split check's allowance 4 J eps |c|'|M||c|.
 CONDITION_LIMIT = 1e12
-
-
-def _gram_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (S, K, L) stack of a_s' b_s for (S, n, K) ``a`` and (S, n, L)
-    ``b``. einsum contracts contiguous (n, K, S) copies: with the state
-    axis innermost its loops run about ten times faster than over a
-    few-wide axis. Entry (k, l) and entry (l, k) of ``_gram_stack(a, a)``
-    are the same products summed in the same order."""
-    a_t, b_t = (np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in (a, b))
-    return np.moveaxis(np.einsum("nks,nls->kls", a_t, b_t), -1, 0)
 
 
 def _check_terms(name: str, *stacks: np.ndarray) -> None:
@@ -97,8 +90,7 @@ def inner_product(x, y, market: DiscreteMarket) -> float:
     product that overflows raises :class:`DomainError`."""
     xv = _per_state_vectors(x, market, "x")
     yv = _per_state_vectors(y, market, "y")
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = market.probs * np.einsum("si,si->s", xv, yv)
+    terms = market.probs * _products(xv, yv)
     if not np.isfinite(terms).all():
         raise DomainError("x times y overflows")
     return _fsum(terms)
@@ -136,7 +128,7 @@ class HedgeConstraint:
         except DomainError:
             raise overflow from None
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.einsum("sij,sj->si", market.second_moment, w) - wm * market.mu
+            g = _products(market.second_moment, w) - wm * market.mu  # A_s' = A_s
         if not np.isfinite(g).all():
             raise overflow
         return cls(g=_lock(g), kind="zero_covariance", target=w)
@@ -212,7 +204,7 @@ def solve_hedge(
     with np.errstate(over="ignore", invalid="ignore"):
         x = _chol_solve(market.chol_second, g)
         m_terms = p[:, None, None] * _gram_stack(g, x)
-        b_terms = p[:, None] * np.einsum("snj,sn->sj", g, market.smm_directions)
+        b_terms = p[:, None] * _products(g, market.smm_directions)
     _check_terms("constraint", m_terms, b_terms)
     sums = _fsum(np.concatenate([m_terms, b_terms[:, :, None]], axis=2))
     m_mat, b_vec = _sym(sums[:, :n_con]), -sums[:, n_con]
@@ -293,7 +285,7 @@ def optimize_basis(
     with np.errstate(over="ignore", invalid="ignore"):
         y = _gram_stack(market.chol_second, f)
         gram_terms = p[:, None, None] * _gram_stack(y, y)
-        mu_terms = p[:, None] * np.einsum("sik,si->sk", f, market.mu)
+        mu_terms = p[:, None] * _products(f, market.mu)
     _check_terms("basis", gram_terms, mu_terms)
     gram = _fsum_symmetric(gram_terms)  # each term is exactly symmetric
     mu_tilde = _fsum(mu_terms)

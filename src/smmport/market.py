@@ -3,7 +3,11 @@
 A market is a finite set of S states, each carrying a probability and a
 conditional moment pair over n assets, stored as stacked, read-only
 arrays: ``probs`` (S,), ``mu`` (S, n), and ``sigma``, ``second_moment``
-and their lower Cholesky factors (S, n, n). Each state is validated once,
+and their lower Cholesky factors (S, n, n). The factors are kept
+state-last in memory, C-contiguous (n, n, S), and exposed as (S, n, n)
+views, so the per-state solves and products of :mod:`smmport.moments`
+run along the state axis without copying them; ``_from_stacks`` is the
+one place in this module that knows it. Each state is validated once,
 where it enters, by :func:`smmport.moments._pair_stacks`: the states of
 ``from_arrays`` and ``from_dict`` all at once, a ``MomentPair`` when it is
 built (``DiscreteMarket(states)`` stacks the pairs' checked arrays) and a
@@ -48,8 +52,13 @@ from .moments import (
     _lock,
     _optimum,
     _pair_stacks,
+    _products,
     _real,
     _solve,
+    _state_first,
+    _state_last,
+    _take_states,
+    _tri_solve,
     _warn_asymmetric,
 )
 
@@ -134,7 +143,8 @@ def _state_stacks(probs, mu, mats, second_supplied) -> tuple[dict, np.ndarray]:
 
 class DiscreteMarket:
     """Finite feature distribution: S states of (probability, moment pair),
-    held as stacked read-only arrays with the state axis first.
+    held as stacked read-only arrays with the state axis first (the
+    Cholesky factors as views of state-last memory).
 
     ``second_supplied`` marks the states given by their second moment
     rather than their covariance, so ``to_dict`` keeps each state's
@@ -181,16 +191,20 @@ class DiscreteMarket:
     @classmethod
     def _from_stacks(cls, stacks: dict, asymmetry: np.ndarray) -> "DiscreteMarket":
         """The market of stacks that passed :func:`moments._pair_stacks`,
-        with ``probs``: checks the probabilities, warns, solves the states
-        unless ``stacks`` holds their solved rows (:func:`_solve_states`),
-        checks q (:func:`q_of`) and locks. Every constructor ends here. Its
-        1 - q is sum_s p_s / (1 + mu_s' inv(Sigma_s) mu_s) = sum(p) - q: it
-        keeps its digits as q nears 1, and is off 1 - q by the sum(p) - 1
-        PROB_SUM_TOL allows."""
+        with ``probs``: checks the probabilities, warns, stores both
+        Cholesky stacks state-last, C-contiguous (n, n, S), as (S, n, n)
+        views (no copy where they already are), solves the states unless
+        ``stacks`` holds their solved rows (:func:`_solve_states`), which
+        reads the factors uncopied, checks q (:func:`q_of`) and locks.
+        Every constructor ends here. Its 1 - q is sum_s p_s / (1 + mu_s'
+        inv(Sigma_s) mu_s) = sum(p) - q: it keeps its digits as q nears 1,
+        and is off 1 - q by the sum(p) - 1 PROB_SUM_TOL allows."""
         _check_probs(stacks["probs"])
         for i in np.flatnonzero(asymmetry).tolist():
             name = "second_moment" if stacks["second_supplied"][i] else "sigma"
             _warn_asymmetric(f"state {i}: {name}", asymmetry[i])
+        for name in ("chol_sigma", "chol_second"):
+            stacks[name] = _state_first(_lock(_state_last(stacks[name])))
         if "smm_directions" not in stacks:
             stacks.update(_solve_states(stacks))
         p = stacks["probs"]
@@ -367,13 +381,12 @@ def evaluate(market: DiscreteMarket, policy: Policy, rfr: float = 0.0) -> PerfSu
     rfr = _real(rfr, "rfr")
     w = _per_state_vectors(policy, market, "policy")
     second = _second_moment(market, w)
-    z = np.einsum("sji,sj->si", market.chol_sigma, w)
-    means = np.einsum("si,si->s", market.mu, w)
+    z = _products(market.chol_sigma, w)
+    means = _products(market.mu, w)
     p = market.probs
     # |mu_s' w_s| and ||K_s' w_s|| are at most sqrt(w_s' A_s w_s): with
     # every second-moment term finite, so is every term here
-    mean, within = _fsum(p[:, None] * np.stack([means, np.einsum("si,si->s", z, z)],
-                                               axis=1)).tolist()
+    mean, within = _fsum(p[:, None] * np.stack([means, _products(z, z)], axis=1)).tolist()
     # halved, each spread term is at most the second moment: none overflows
     half = 0.5 * (means - mean)
     variance = within + 4.0 * _fsum(p * half * half)
@@ -385,8 +398,8 @@ def _second_moment(market: DiscreteMarket, w: np.ndarray) -> float:
     the Cholesky factor of A_s: the second moment of :func:`evaluate`,
     which ``solve_hedge`` takes as q_g. One that overflows raises
     :class:`DomainError`."""
-    y = np.einsum("sji,sj->si", market.chol_second, w)
-    return _second_moment_sum(market.probs * np.einsum("si,si->s", y, y))
+    y = _products(market.chol_second, w)
+    return _second_moment_sum(market.probs * _products(y, y))
 
 
 def _second_moment_sum(terms: np.ndarray) -> float:
@@ -454,12 +467,15 @@ def merge_states(
     risk plus the spread of their means as its covariance, by which it is
     given: ``to_dict`` writes that covariance, so the written market reads
     back valid. It is placed at the smallest merged index. Only the merged
-    state is checked, by
-    :func:`moments._pair_stacks`, and solved; the other states keep their
-    checked stacks and solved rows, bit for bit, and the new market is
-    finished as every market is (probabilities, q). Returns the new market and
-    delta_q = q(merged) - q(original) <= 0, as -sum_{s in subset}
-    p_s ||L_s'(x_s - x_m)||^2, x = inv(A) mu and x_m the merged state's.
+    state is checked, by :func:`moments._pair_stacks`, and solved; the
+    other states keep their checked stacks and solved rows, bit for bit,
+    and the new market is finished as every market is (probabilities, q).
+    Returns the new market and delta_q = q(merged) - q(original) <= 0, as
+    -sum_{s in subset} p_s ||L_s'(x_s - x_m)||^2 = -sum p_s ||inv(L_s) r_s||^2,
+    x = inv(A) mu, x_m the merged state's and r_s = A_s (x_s - x_m) formed
+    from differences of the data: a sum of nonnegative terms, none of them
+    a difference of two near-equal solves, so it keeps its digits as the
+    states' conditional Sharpe ratios grow.
     """
     subset = list(subset)
     # checking each distinct type once keeps this off the per-index path
@@ -478,17 +494,18 @@ def merge_states(
     # each member's second moment of (1, r), [[1, mu'], [mu, A]], weighted
     # by its probability and summed at once: p_merged, p_merged mu_m and
     # p_merged A_m
-    n, p = market.n_assets, market.probs[idx]
+    n, p, mu_s, sigma_s = market.n_assets, market.probs[idx], market.mu[idx], market.sigma[idx]
     aug = np.empty((len(idx), n + 1, n + 1))
     aug[:, 0, 0] = 1.0
-    aug[:, 0, 1:] = aug[:, 1:, 0] = market.mu[idx]
+    aug[:, 0, 1:] = aug[:, 1:, 0] = mu_s
     aug[:, 1:, 1:] = market.second_moment[idx]
     sums = _fsum_symmetric(p[:, None, None] * aug)
     p_merged = 1.0 if len(idx) == market.n_states else sums[0, 0]
     # p_merged Sigma_m from p_s Sigma_s and e_s e_s', each exactly symmetric and finite
     mu_m = sums[None, 1:, 0] / p_merged
-    e = np.sqrt(p)[:, None] * (market.mu[idx] - mu_m)
-    risk = _fsum_symmetric(np.concatenate([p[:, None, None] * market.sigma[idx],
+    d = mu_s - mu_m
+    e = np.sqrt(p)[:, None] * d
+    risk = _fsum_symmetric(np.concatenate([p[:, None, None] * sigma_s,
                                            e[:, :, None] * e[:, None, :]]))
     merged, _ = _pair_stacks(mu_m, sums[None, 1:, 1:] / p_merged, np.array([True]),
                              sigma=risk[None] / p_merged)
@@ -499,9 +516,16 @@ def merge_states(
     kept = np.flatnonzero(keep)
     stacks = {}
     for name, row in merged.items():
-        stacks[name] = getattr(market, name).take(kept, axis=0)
+        stacks[name] = _take_states(getattr(market, name), kept)
         stacks[name][idx[0]] = row[0]
     new_market = DiscreteMarket._from_stacks(stacks, np.zeros(kept.size))
-    dx = market.smm_directions[idx] - new_market.smm_directions[idx[0]]
-    y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
-    return new_market, -_fsum(p * np.einsum("si,si->s", y, y))
+    # x_s - x_m = inv(A_s) r_s, where A_s x_s = mu_s and, with 1 - c_m the
+    # merged state's carried complement, Sigma_m x_m = mu_m (1 - c_m):
+    # r_s = (mu_s - mu_m)(1 - c_m) - mu_s (mu_s - mu_m)' x_m
+    # - (Sigma_s - Sigma_m) x_m, from differences of data, not of solves
+    x_m = np.broadcast_to(merged["smm_directions"], d.shape)
+    one_minus_c = 1.0 / (1.0 + merged["conditional_sharpe_sq"])
+    r = (d * one_minus_c - mu_s * _products(d, x_m)[:, None]
+         - _products(sigma_s - merged["sigma"], x_m))
+    y = _tri_solve(_take_states(market.chol_second, idx), r)
+    return new_market, -_fsum(p * _products(y, y))

@@ -24,19 +24,31 @@ factorization of both whose smallest pivot must pass ``PIVOT_RTOL``. A
 ``MomentPair`` runs it on a stack of one; a market runs it on all of its
 states at once (see :mod:`smmport.market`). Every later solve against
 those factors is a triangular substitution, forward (``_tri_solve``),
-back (``_back_solve``) or both (``_chol_solve``), each vectorized over a
-stack of factors and over the right-hand sides. Each step the modules
-share has one implementation here: ``_fsum`` every exact sum, ``_sym``
-every symmetrization, ``_warn_asymmetric`` every asymmetry warning,
-``_solve`` every direction inv(A) mu with its ratio mu' inv(A) mu, and
-``_optimum`` every policy scale and optimal objective value, the one
-ladder over the ``Objective`` variants.
+back (``_back_solve``) or both (``_chol_solve``), and every per-state
+product M_s' w_s is ``_products``; each is vectorized over a stack of
+factors and over the right-hand sides. Each step the modules share has
+one implementation here: ``_fsum`` every exact sum, ``_sym`` every
+symmetrization, ``_warn_asymmetric`` every asymmetry warning, ``_solve``
+every direction inv(A) mu with its ratio mu' inv(A) mu, and ``_optimum``
+every policy scale and optimal objective value, the one ladder over the
+``Objective`` variants.
+
+Stacks are passed with the state axis first, (S, n, n) and (S, n), but
+the substitutions and products run with it last: ``_state_last`` moves
+an operand to a C-contiguous (n, n, S) or (n, S) array, so that each
+step is one numpy call over S contiguous numbers, not S calls over n. A
+market stores its Cholesky factors that way and exposes (S, n, n) views
+of them, so its factors are never copied per call. Each sum over n is
+taken one term at a time, in index order, with separate multiplies and
+adds: a state gets the same bits whatever other states share its stack,
+a market's states and a ``MomentPair`` alike, and on any SIMD width.
 
 All types are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -99,12 +111,36 @@ def _positive(x, name: str, hint: str = "") -> float:
     return _real(x, name, "finite and positive" + hint, lambda v: 0.0 < v < math.inf)
 
 
+def _state_last(x: np.ndarray) -> np.ndarray:
+    """A stack ``x`` given with its state axis first, as a C-contiguous
+    array with that axis last: a view of a market's Cholesky factors,
+    which are stored that way, and a copy of anything else."""
+    return np.ascontiguousarray(x.transpose(*range(1, x.ndim), 0))
+
+
+def _state_first(x: np.ndarray) -> np.ndarray:
+    """The view of a state-last array with its state axis first."""
+    return x.transpose(x.ndim - 1, *range(x.ndim - 1))
+
+
+def _take_states(x: np.ndarray, rows) -> np.ndarray:
+    """``x.take(rows, axis=0)`` for a stack with its state axis first, kept
+    state-last in memory where ``x`` is: a market's factors stay so."""
+    t = x.transpose(*range(1, x.ndim), 0)
+    return _state_first(t.take(rows, axis=-1)) if t.flags.c_contiguous else x.take(rows, axis=0)
+
+
 def _asymmetry(mat: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: max |M - M'|, or 0 where that is within
-    ``ASYMMETRY_WARN * max(1, max |M|)``."""
-    asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
-    return np.where(asym > ASYMMETRY_WARN * scale, asym, 0.0)
+    """Per matrix of a stack (one value for one matrix): max |M - M'|, or 0
+    where that is within ``ASYMMETRY_WARN * max(1, max |M|)``. Each max is
+    taken over the n * n entries along the outer axis of a state-last
+    copy."""
+    t = _state_last(mat) if mat.ndim == 3 else mat[..., None]
+    n = t.shape[0]
+    asym = np.abs(t - t.transpose(1, 0, 2)).reshape(n * n, -1).max(axis=0)
+    scale = np.maximum(1.0, np.abs(t).reshape(n * n, -1).max(axis=0))
+    out = np.where(asym > ASYMMETRY_WARN * scale, asym, 0.0)
+    return out if mat.ndim == 3 else out[0]
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -129,59 +165,137 @@ def _warn_asymmetric(name: str, asymmetry: float) -> None:
 
 def _pivots_ok(lower: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Per matrix of a stack: is the smallest squared Cholesky pivot (not
-    NaN) at least ``PIVOT_RTOL`` times the largest diagonal entry?"""
-    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
-    diag = np.diagonal(mat, axis1=-2, axis2=-1)
-    return np.min(pivots, axis=-1) >= PIVOT_RTOL * np.max(diag, axis=-1)
+    NaN) at least ``PIVOT_RTOL`` times the largest diagonal entry? Only the
+    smallest pivot is squared, which gives the same bits: squaring rounds
+    monotonically on the pivots, which are positive. Each extreme is taken
+    along the outer axis of the (n, S) diagonals."""
+    low = functools.reduce(np.minimum, np.diagonal(lower, axis1=-2, axis2=-1).T)
+    top = functools.reduce(np.maximum, np.diagonal(mat, axis1=-2, axis2=-1).T)
+    return low * low >= PIVOT_RTOL * top
 
 
-def _columns(lower: np.ndarray, b) -> tuple[np.ndarray, bool]:
-    """A float64 copy of ``b`` with an explicit column axis, and whether
-    ``b`` was a vector (or a stack of vectors) rather than a matrix."""
-    y = np.array(b, dtype=np.float64)
-    vector = y.ndim == lower.ndim - 1
-    return (y[..., None] if vector else y), vector
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j a_j b_j over the leading axis of state-last ``a`` and ``b``
+    (into ``out`` if given), one term at a time in order of j, each
+    product rounded apart."""
+    total = np.multiply(a[0], b[0], out=out)
+    tmp = np.empty_like(total)
+    for a_j, b_j in zip(a[1:], b[1:]):
+        total += np.multiply(a_j, b_j, out=tmp)
+    return total
 
 
-def _tri_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve L y = b for a lower Cholesky factor L by forward substitution.
+def _forward(lower: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite the state-last (n, S) or (n, k, S) ``y`` with inv(L) y for
+    the state-last (n, n, S) factors ``lower``:
+    y_i = (((b_i - L_i0 y_0) - L_i1 y_1) - ...) / L_ii."""
+    tmp = np.empty_like(y[0])
+    for i in range(lower.shape[0]):
+        row = y[i]
+        for j in range(i):
+            row -= np.multiply(lower[i, j], y[j], out=tmp)
+        row /= lower[i, i]
+
+
+def _backward(lower: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the state-last (n, S) or (n, k, S) ``x`` with inv(L') x
+    for the state-last (n, n, S) factors ``lower``:
+    x_i = (((b_i - L_(i+1)i x_(i+1)) - L_(i+2)i x_(i+2)) - ...) / L_ii."""
+    n = lower.shape[0]
+    tmp = np.empty_like(x[0])
+    for i in reversed(range(n)):
+        row = x[i]
+        for j in range(i + 1, n):
+            row -= np.multiply(lower[j, i], x[j], out=tmp)
+        row /= lower[i, i]
+
+
+def _operands(lower: np.ndarray, b) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether ``lower`` is one factor, then its factors, one as a stack of
+    one, state-last (n, n, S), and a state-last float64 copy of ``b``,
+    (n, S) or (n, k, S), for the steps to overwrite."""
+    one = lower.ndim == 2
+    b = np.asarray(b, dtype=np.float64)
+    if one:
+        lower, b = lower[None], b[None]
+    return one, _state_last(lower), np.array(b.transpose(*range(1, b.ndim), 0), order="C")
+
+
+def _substitute(lower: np.ndarray, b, *steps) -> np.ndarray:
+    """``b`` after each of ``steps`` (:func:`_forward`, :func:`_backward`)
+    in turn, against the lower Cholesky factor L or a stack of them.
 
     L is (n, n) or a stack (S, n, n). b has either L's ndim, a matrix
     right-hand side ((n, k), or (S, n, k) for a stack), or one less, a
-    vector ((n,), or a stack of vectors (S, n)); y has b's shape. Each of
-    the n steps is one ``einsum`` over the whole stack and every column.
-    """
-    y, vector = _columns(lower, b)
-    for i in range(lower.shape[-1]):
-        y[..., i, :] -= np.einsum("...j,...jk->...k", lower[..., i, :i], y[..., :i, :])
-        y[..., i, :] /= lower[..., i, i, None]
-    return y[..., 0] if vector else y
+    vector ((n,), or a stack of vectors (S, n)); the result has b's shape
+    and is a view of the state-last array the steps overwrote. One factor
+    is solved as a stack of one, on the same path."""
+    one, lower, x = _operands(lower, b)
+    for step in steps:
+        step(lower, x)
+    x = _state_first(x)
+    return x[0] if one else x
+
+
+def _tri_solve(lower: np.ndarray, b) -> np.ndarray:
+    """Solve L y = b for a lower Cholesky factor L (or a stack of them) by
+    forward substitution; shapes as for :func:`_substitute`."""
+    return _substitute(lower, b, _forward)
 
 
 def _back_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve L' x = b for a lower Cholesky factor L by back substitution;
-    shapes as for :func:`_tri_solve`."""
-    x, vector = _columns(lower, b)
-    for i in reversed(range(lower.shape[-1])):
-        x[..., i, :] -= np.einsum(
-            "...j,...jk->...k", lower[..., i + 1:, i], x[..., i + 1:, :]
-        )
-        x[..., i, :] /= lower[..., i, i, None]
-    return x[..., 0] if vector else x
+    """Solve L' x = b for a lower Cholesky factor L (or a stack of them)
+    by back substitution; shapes as for :func:`_substitute`."""
+    return _substitute(lower, b, _backward)
 
 
 def _chol_solve(lower: np.ndarray, b) -> np.ndarray:
     """Solve (L L') x = b given the lower Cholesky factor L (or a stack
-    of them); shapes as for :func:`_tri_solve`."""
-    return _back_solve(lower, _tri_solve(lower, b))
+    of them); shapes as for :func:`_substitute`."""
+    return _substitute(lower, b, _forward, _backward)
 
 
 def _solve(lower: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """inv(L L') mu and mu' inv(L L') mu = ||inv(L) mu||^2 for one factor or
-    a stack, the ratio by one ``einsum`` either way (0-d for one factor), so
-    a stack and each of its members agree bit for bit."""
-    y = _tri_solve(lower, mu)
-    return _back_solve(lower, y), np.einsum("...i,...i->...", y, y)
+    a stack (the ratio a numpy scalar for one factor): a stack and each of
+    its members agree bit for bit. A ratio past the float maximum is inf,
+    silently."""
+    one, lower, x = _operands(lower, mu)
+    _forward(lower, x)
+    with np.errstate(over="ignore"):
+        ratio = _dot(x, x)
+    _backward(lower, x)
+    x = _state_first(x)
+    return (x[0], ratio[0]) if one else (x, ratio)
+
+
+def _products(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The stack of M_s' w_s, sum_j M_s[j] w_s[j], for ``mats`` (S, n, m)
+    and ``w`` (S, n): (S, m), a view of a state-last array; for (S, n)
+    ``mats``, the (S,) dot products. A market's factors go in uncopied,
+    and so does the result: ``_products(y, y)`` of ``y =
+    _products(market.chol_second, w)`` gives ||L_s' w_s||^2, a policy's
+    second moment terms w_s' A_s w_s (a factor's zeros add exact zeros).
+    A product past the float maximum is +/-inf or NaN, silently: callers
+    name it."""
+    m, v = _state_last(mats), _state_last(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.ndim == 2:
+            return _dot(m, v)
+        out = np.empty(m.shape[1:])
+        for i, row in enumerate(out):
+            _dot(m[:, i], v, out=row)
+    return _state_first(out)
+
+
+def _gram_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (S, K, L) stack of a_s' b_s for (S, n, K) ``a`` and (S, n, L)
+    ``b``, a view of a state-last array. einsum contracts the state-last
+    operands, a market's factors uncopied: with the state axis innermost
+    its loops run about ten times faster than over a few-wide axis. Entry
+    (k, l) and entry (l, k) of ``_gram_stack(a, a)`` are the same products
+    summed in the same order."""
+    return _state_first(np.einsum("nks,nls->kls", _state_last(a), _state_last(b)))
 
 
 def _fsum(terms: np.ndarray):
@@ -274,19 +388,21 @@ def _pair_stacks(mu: np.ndarray, mats: np.ndarray, second_supplied: np.ndarray,
     """
     if not np.isfinite(mu).all():
         raise DomainError("mu has non-finite entries")
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    if not finite.all():
+    if not np.isfinite(mats).all():
+        finite = np.isfinite(mats).all(axis=(-2, -1))
         name = "second_moment" if second_supplied[np.argmin(finite)] else "sigma"
         raise DomainError(f"{name} has non-finite entries")
     sym = _sym(mats)
     given = second_supplied[:, None, None]
     with np.errstate(over="ignore"):
         outer = mu[:, :, None] * mu[:, None, :]
-        stacks = {
-            "mu": mu, "sigma": np.where(given, sym - outer, sym) if sigma is None else sigma,
-            "second_moment": np.where(given, sym, sym + outer),
-            "second_supplied": second_supplied,
-        }
+        # A = sym + mu mu' where Sigma is given; then Sigma = sym - mu mu'
+        # where A is, in sym's own memory
+        second = np.add(sym, outer, out=sym.copy(), where=~given)
+        if sigma is None:
+            sigma = np.subtract(sym, outer, out=sym, where=given)
+    stacks = {"mu": mu, "sigma": sigma, "second_moment": second,
+              "second_supplied": second_supplied}
     for name, chol in (("sigma", "chol_sigma"), ("second_moment", "chol_second")):
         if not np.isfinite(stacks[name]).all():
             raise DomainError(f"{name} overflows: mu is too large")

@@ -257,6 +257,42 @@ def test_merged_market_carries_one_minus_q(capsys, tmp_path, zeta):
         assert "NaN" not in out and "Infinity" not in out, name
 
 
+def unequal_mean_states(zeta):
+    """As ``equal_mean_states`` with means (1, 0.7, 0.5): the merge spreads
+    the first two means."""
+    states = equal_mean_states(zeta)
+    states[1]["mu"] = [0.7]
+    return states
+
+
+@pytest.mark.parametrize("states", [equal_mean_states, unequal_mean_states],
+                         ids=["equal means", "unequal means"])
+@pytest.mark.parametrize("zeta", [1e2, 1e4, 1e6, 1e7, 1e8, 1e9])
+def test_merge_delta_q_against_mpmath(capsys, tmp_path, zeta, states):
+    # delta_q is a sum of nonnegative terms p_s ||inv(L_s) r_s||^2 with r_s
+    # formed from differences of the data; as a difference of two near-equal
+    # solves it kept no correct digit from zeta = 1e8
+    states = states(zeta)
+    market = DiscreteMarket.from_dict({"states": states})
+    _, delta_q = merge_states(market, [0, 1])
+    with mpmath.workdps(50):
+        p, mu, sigma = ([mpmath.mpf(np.ravel(s[key])[0]) for s in states]
+                        for key in ("prob", "mu", "sigma"))
+        a = [s + m * m for s, m in zip(sigma, mu)]
+        p_m = p[0] + p[1]
+        mu_m = (p[0] * mu[0] + p[1] * mu[1]) / p_m
+        a_m = (p[0] * a[0] + p[1] * a[1]) / p_m
+        exact = p_m * mu_m * mu_m / a_m - sum(p[i] * mu[i] * mu[i] / a[i] for i in range(2))
+    assert exact < 0 and rel(delta_q, exact) <= 1e-15
+
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps({"states": states}))
+    rc = main(["merge-states", "--market", str(path), "--subset", "0,1"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["delta_q"] == delta_q
+
+
 # --- random markets ------------------------------------------------------
 
 # Reference ladders that form 1 - q, or the variance, by subtraction: the

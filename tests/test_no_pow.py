@@ -19,8 +19,6 @@ ALLOWED = collections.Counter({
     ("lcem.py", "__post_init__", "2**64"): 1,
     # the bandwidth rule's T**(-1/5) has no product form
     ("leverage.py", "silverman_bandwidth", "xs.size ** (-0.2)"): 1,
-    # numpy squares element-wise with a multiply, not with pow
-    ("moments.py", "_pivots_ok", "np.diagonal(lower, axis1=-2, axis2=-1) ** 2"): 1,
 })
 
 

@@ -18,6 +18,12 @@ computation allows.
   condition of A and Sigma allows.
 - Down-levering: the covariance policy's Sharpe ratio is at most the
   second-moment policy's, and equal to it when zeta is one across states.
+- Unconditional optimality: no policy has a squared Hansen ratio above q
+  or a Sharpe ratio above sqrt(q / (1 - q)); the second-moment policy
+  attains both.
+- Constraints: a hedge splits q into q_g + b' inv(M) b, and the hedged
+  policy is orthogonal to every constraint, within the rounding of the
+  products that form it.
 """
 
 import numpy as np
@@ -25,18 +31,22 @@ import pytest
 
 from smmport import (
     DiscreteMarket,
+    HedgeConstraint,
     Kelly,
     MeanVariance,
     NotPositiveDefinite,
     Policy,
     SharpeBudget,
     SingularBasis,
+    SingularConstraintSystem,
     evaluate,
+    inner_product,
     markowitz_policy,
     merge_states,
     optimize_basis,
     q_of,
     smm_policy,
+    solve_hedge,
 )
 from smmport.market import Q_CONSISTENCY_TOL
 from conftest import random_spd
@@ -206,5 +216,78 @@ def test_down_levering_never_loses_sharpe():
         assert mk <= smm * (1.0 + 8.0 * EPS)
         if one_zeta:
             assert abs(mk - smm) <= 8.0 * EPS * smm
+
+    check()
+
+
+def random_policy(draw, market, rng):
+    """Per-state weights: random, a per-state rescaling of the optimal
+    directions x = inv(A) mu, or x perturbed by a relative 1e-6."""
+    kind = draw(st.sampled_from(["random", "rescaled x", "near x"]), label="policy")
+    x = market.smm_directions
+    if kind == "random":
+        return rng.standard_normal(x.shape)
+    if kind == "rescaled x":
+        return rng.uniform(0.2, 2.0, market.n_states)[:, None] * x
+    return x * (1.0 + 1e-6 * rng.standard_normal(x.shape))
+
+
+def test_no_policy_beats_the_unconditional_optimum():
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def check(data):
+        market, rng = random_market(data.draw)
+        q = q_of(market)
+        best_sharpe = np.sqrt(q / market._one_minus_q)
+        # each summary is exact sums of rounded per-state terms: at most
+        # 3.3 eps over q and 2.0 eps over the best Sharpe ratio, and the
+        # optimal policy within 5.0 and 2.8 eps of them, were seen on
+        # 3,000 random markets of this kind
+        other = evaluate(market, Policy(random_policy(data.draw, market, rng)))
+        assert other.hansen ** 2 <= q * (1.0 + 8.0 * EPS)
+        assert other.sharpe <= best_sharpe * (1.0 + 8.0 * EPS)
+        for objective in OBJECTIVES:
+            smm = evaluate(market, smm_policy(market, objective))
+            assert abs(smm.hansen ** 2 - q) <= 16.0 * EPS * q
+            assert abs(smm.sharpe - best_sharpe) <= 8.0 * EPS * best_sharpe
+            mk = evaluate(market, markowitz_policy(market, objective))
+            assert mk.sharpe <= smm.sharpe * (1.0 + 8.0 * EPS)
+
+    check()
+
+
+def test_hedge_splits_q_and_is_orthogonal_to_its_constraints():
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def check(data):
+        market, rng = random_market(data.draw)
+        j = data.draw(st.integers(1, 3), label="constraints")
+        hypothesis.assume(j < market.n_states * market.n_assets)
+        g = rng.standard_normal((j,) + market.mu.shape)
+        try:
+            policy, sol = solve_hedge(market, [HedgeConstraint.raw(gk, market) for gk in g],
+                                      Kelly())
+        except SingularConstraintSystem:
+            hypothesis.reject()
+        m = np.abs(sol.multipliers)
+        # the slack the split check allows spanned_q's solve
+        slack = 4.0 * j * EPS * float(m @ np.abs(sol.m_mat) @ m)
+        assert abs(sol.q_g + sol.spanned_q - q_of(market)) <= Q_CONSISTENCY_TOL + slack
+        # under Kelly the policy is x + X m with X_k = inv(A) g_k. Its product
+        # with g_k is the multiplier system's residual plus sum_k m_k times
+        # the asymmetry of M before symmetrization, which is the solves'
+        # error: n eps ||A_s|| ||X_js|| ||X_ks|| per state. Add the rounding
+        # of x + X m and of each product; at most 0.68 of this bound was
+        # seen on 5,000 random markets of this kind
+        p, a, n = market.probs, market.second_moment, market.n_assets
+        x = np.linalg.solve(a[None], g[..., None])[..., 0]
+        norm_x = np.linalg.norm(x, axis=2)
+        spread = p * np.linalg.norm(a, 2, axis=(1, 2)) * norm_x
+        size = np.abs(market.smm_directions) + np.einsum("k,ksi->si", m, np.abs(x))
+        for k in range(j):
+            bound = EPS * (n * float(m @ (spread * norm_x[k]).sum(axis=1))
+                           + float(np.sum(p * (size * np.abs(g[k])).sum(axis=1)))
+                           + abs(sol.b_vec[k]) + float(np.abs(sol.m_mat[k]) @ m))
+            assert abs(inner_product(policy, g[k], market)) <= 4.0 * bound
 
     check()

@@ -679,14 +679,43 @@ def test_merge_equals_the_market_rebuilt_from_merged_arrays():
                 rows[k] = sigma_side[name]
             assert_same_bits(getattr(merged, name), rows)
         assert q_of(merged).hex() == q_of(want).hex()
-        # delta_q by its formula on the rebuilt market, summed by math.fsum
-        idx = sorted(set(subset))
-        dx = market.smm_directions[idx] - want.smm_directions[idx[0]]
-        y = np.einsum("sji,sj->si", market.chol_second[idx], dx)
-        terms = market.probs[idx] * np.einsum("si,si->s", y, y)
-        assert delta_q.hex() == (-math.fsum(terms.tolist())).hex()
+        assert delta_q.hex() == residual_delta_q(market, subset, by_second, by_sigma).hex()
 
     check()
+
+
+def residual_delta_q(market, subset, by_second, by_sigma):
+    """delta_q by its residual formula, one state at a time in Python
+    floats, every sum over assets in index order: x_m and 1 - c_m =
+    1 / (1 + zeta_m^2) from the merged pairs, r_s = (mu_s - mu_m)(1 - c_m)
+    - mu_s (mu_s - mu_m)' x_m - (Sigma_s - Sigma_m) x_m, y_s = inv(L_s) r_s
+    by forward substitution, and -sum_s p_s ||y_s||^2 by math.fsum."""
+    x_m = smm_direction(by_second).tolist()
+    one_minus_c = 1.0 / (1.0 + conditional_sharpe_sq(by_sigma))
+    mu_m, sigma_m = by_second.mu.tolist(), by_sigma.sigma.tolist()
+    n = len(x_m)
+    terms = []
+    for s in sorted(set(subset)):
+        mu, sigma = market.mu[s].tolist(), market.sigma[s].tolist()
+        lower = market.chol_second[s].tolist()
+        d = [a - b for a, b in zip(mu, mu_m)]
+        t = d[0] * x_m[0]
+        for j in range(1, n):
+            t += d[j] * x_m[j]
+        y = []
+        for i in range(n):
+            dx = (sigma[0][i] - sigma_m[0][i]) * x_m[0]
+            for j in range(1, n):
+                dx += (sigma[j][i] - sigma_m[j][i]) * x_m[j]
+            r = (d[i] * one_minus_c - mu[i] * t) - dx
+            for j in range(i):
+                r -= lower[i][j] * y[j]
+            y.append(r / lower[i][i])
+        norm = y[0] * y[0]
+        for i in range(1, n):
+            norm += y[i] * y[i]
+        terms.append(float(market.probs[s]) * norm)
+    return -math.fsum(terms)
 
 
 def test_merged_state_failing_the_pivot_test_raises_as_a_rebuild_does():
@@ -704,3 +733,43 @@ def test_merged_state_failing_the_pivot_test_raises_as_a_rebuild_does():
         merge_states(market, [0, 1])
     assert str(got.value) == str(want.value) == (
         "sigma is numerically singular (pivot below tolerance)")
+
+
+# --- factor layout -------------------------------------------------------
+
+
+def markets_by_constructor():
+    data = random_market_dict(np.random.default_rng(31), 9, 3)
+    market = DiscreteMarket.from_dict(data)
+    return {
+        "from_dict": market,
+        "from_arrays": DiscreteMarket.from_arrays(*market_arrays(data)),
+        "states": DiscreteMarket(market.states),
+        "merge_states": merge_states(market, [6, 1, 4])[0],
+    }
+
+
+@pytest.mark.parametrize("name", ["chol_sigma", "chol_second"])
+@pytest.mark.parametrize("how", ["from_dict", "from_arrays", "states", "merge_states"])
+def test_factors_are_stored_state_last_and_read_uncopied(monkeypatch, how, name):
+    market = markets_by_constructor()[how]
+    chol = getattr(market, name)
+    s, n = market.n_states, market.n_assets
+    assert chol.shape == (s, n, n) and not chol.flags.writeable
+    assert np.moveaxis(chol, 0, -1).flags.c_contiguous
+    with pytest.raises(ValueError):
+        chol[0, 0, 0] = 1.0
+    assert np.shares_memory(smmport.moments._state_last(chol), chol)
+    # every row the substitutions and products read is the market's own
+    read = []
+
+    def spy(inner):
+        return lambda a, *args, **kwargs: read.append(a) or inner(a, *args, **kwargs)
+
+    for helper in ("_forward", "_backward", "_dot"):
+        monkeypatch.setattr(smmport.moments, helper, spy(getattr(smmport.moments, helper)))
+    smmport.moments._solve(chol, market.mu)
+    assert len(read) == 3 and all(np.shares_memory(a, chol) for a in read[::2])
+    read.clear()
+    smmport.moments._products(chol, market.smm_directions)
+    assert len(read) == n and all(np.shares_memory(a, chol) for a in read)
