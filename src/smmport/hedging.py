@@ -18,10 +18,11 @@ classical single-period problem on pseudo-assets whose q splits alike.
 
 Per-state portfolio functions (a constraint's ``g`` and ``target``, the
 elements of a basis) are (S, n) arrays with one row per state. M, b and
-the basis Gram matrix come from batched solves and per-state products
-(``moments._products`` and ``moments._gram_stack``) against the market's
+the basis Gram matrix come from batched solves and per-state products,
+Gram stacks included (``moments._products``), against the market's
 stacked Cholesky factors, summed over states exactly by ``moments._fsum``
-as in :mod:`smmport.market`.
+as in :mod:`smmport.market`: a state's terms are the same bits in any
+stack.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .moments import (
     _chol_solve,
     _fsum,
     _fsum_symmetric,
-    _gram_stack,
     _lock,
     _optimum,
     _pair_stacks,
@@ -203,7 +203,7 @@ def solve_hedge(
     p = market.probs
     with np.errstate(over="ignore", invalid="ignore"):
         x = _chol_solve(market.chol_second, g)
-        m_terms = p[:, None, None] * _gram_stack(g, x)
+        m_terms = p[:, None, None] * _products(g, x)
         b_terms = p[:, None] * _products(g, market.smm_directions)
     _check_terms("constraint", m_terms, b_terms)
     sums = _fsum(np.concatenate([m_terms, b_terms[:, :, None]], axis=2))
@@ -283,8 +283,8 @@ def optimize_basis(
     ], axis=-1)
     p = market.probs
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _gram_stack(market.chol_second, f)
-        gram_terms = p[:, None, None] * _gram_stack(y, y)
+        y = _products(market.chol_second, f)
+        gram_terms = p[:, None, None] * _products(y, y)
         mu_terms = p[:, None] * _products(f, market.mu)
     _check_terms("basis", gram_terms, mu_terms)
     gram = _fsum_symmetric(gram_terms)  # each term is exactly symmetric

@@ -23,15 +23,16 @@ finite inputs, symmetrization, a finite Sigma and A, and a Cholesky
 factorization of both whose smallest pivot must pass ``PIVOT_RTOL``. A
 ``MomentPair`` runs it on a stack of one; a market runs it on all of its
 states at once (see :mod:`smmport.market`). Every later solve against
-those factors is a triangular substitution, forward (``_tri_solve``),
-back (``_back_solve``) or both (``_chol_solve``), and every per-state
-product M_s' w_s is ``_products``; each is vectorized over a stack of
-factors and over the right-hand sides. Each step the modules share has
-one implementation here: ``_fsum`` every exact sum, ``_sym`` every
-symmetrization, ``_warn_asymmetric`` every asymmetry warning, ``_solve``
-every direction inv(A) mu with its ratio mu' inv(A) mu, and ``_optimum``
-every policy scale and optimal objective value, the one ladder over the
-``Objective`` variants.
+those factors is a triangular substitution, forward (``_tri_solve``) or
+forward then back (``_chol_solve``), and every per-state product a_s' b_s
+is ``_products``, dot products, matrix-vector products and Gram stacks
+alike; each is vectorized over a stack of factors and over the
+right-hand sides. Each step the modules share has one implementation
+here: ``_fsum`` every exact sum, ``_sym`` every symmetrization,
+``_warn_asymmetric`` every asymmetry warning, ``_solve`` every direction
+inv(A) mu with its ratio mu' inv(A) mu, and ``_optimum`` every policy
+scale and optimal objective value, the one ladder over the ``Objective``
+variants.
 
 Stacks are passed with the state axis first, (S, n, n) and (S, n), but
 the substitutions and products run with it last: ``_state_last`` moves
@@ -41,7 +42,9 @@ market stores its Cholesky factors that way and exposes (S, n, n) views
 of them, so its factors are never copied per call. Each sum over n is
 taken one term at a time, in index order, with separate multiplies and
 adds: a state gets the same bits whatever other states share its stack,
-a market's states and a ``MomentPair`` alike, and on any SIMD width.
+a market's states and a ``MomentPair`` alike, and on any SIMD width. No
+step calls a numpy contraction routine, whose inner kernel numpy picks
+by the operands' shapes.
 
 All types are immutable after construction and all functions are pure.
 """
@@ -174,11 +177,11 @@ def _pivots_ok(lower: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return low * low >= PIVOT_RTOL * top
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j a_j b_j over the leading axis of state-last ``a`` and ``b``
-    (into ``out`` if given), one term at a time in order of j, each
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a_j b_j over the leading axis of state-last ``a`` and ``b``,
+    whose other axes broadcast, one term at a time in order of j, each
     product rounded apart."""
-    total = np.multiply(a[0], b[0], out=out)
+    total = np.multiply(a[0], b[0])
     tmp = np.empty_like(total)
     for a_j, b_j in zip(a[1:], b[1:]):
         total += np.multiply(a_j, b_j, out=tmp)
@@ -243,12 +246,6 @@ def _tri_solve(lower: np.ndarray, b) -> np.ndarray:
     return _substitute(lower, b, _forward)
 
 
-def _back_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve L' x = b for a lower Cholesky factor L (or a stack of them)
-    by back substitution; shapes as for :func:`_substitute`."""
-    return _substitute(lower, b, _backward)
-
-
 def _chol_solve(lower: np.ndarray, b) -> np.ndarray:
     """Solve (L L') x = b given the lower Cholesky factor L (or a stack
     of them); shapes as for :func:`_substitute`."""
@@ -269,33 +266,27 @@ def _solve(lower: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x[0], ratio[0]) if one else (x, ratio)
 
 
-def _products(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The stack of M_s' w_s, sum_j M_s[j] w_s[j], for ``mats`` (S, n, m)
-    and ``w`` (S, n): (S, m), a view of a state-last array; for (S, n)
-    ``mats``, the (S,) dot products. A market's factors go in uncopied,
-    and so does the result: ``_products(y, y)`` of ``y =
-    _products(market.chol_second, w)`` gives ||L_s' w_s||^2, a policy's
-    second moment terms w_s' A_s w_s (a factor's zeros add exact zeros).
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack of a_s' b_s, sum_j a_s[j] b_s[j], for ``a`` (S, n) or
+    (S, n, m) and ``b`` (S, n) or (S, n, L): (S,) dot products, (S, m),
+    (S, L) or the (S, m, L) Gram stack, a view of a state-last array. One
+    :func:`_dot` over the broadcast state-last operands forms every entry,
+    so a state's entries are the same bits alone as in any stack, and the
+    Gram stack of an (S, n, m) ``a`` with itself is exactly symmetric:
+    entries (k, l) and (l, k) are the same products summed in the same
+    order. A market's factors go in uncopied, and so does the result:
+    ``_products(y, y)`` of ``y = _products(market.chol_second, w)`` gives
+    ||L_s' w_s||^2, a policy's second moment terms w_s' A_s w_s (a
+    factor's zeros add exact zeros).
     A product past the float maximum is +/-inf or NaN, silently: callers
     name it."""
-    m, v = _state_last(mats), _state_last(w)
+    x, y = _state_last(a), _state_last(b)
+    if a.ndim == 3:  # a's columns along the result's axis 1, b's along axis 2
+        y = y[:, None]
+        if b.ndim == 3:
+            x = x[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if m.ndim == 2:
-            return _dot(m, v)
-        out = np.empty(m.shape[1:])
-        for i, row in enumerate(out):
-            _dot(m[:, i], v, out=row)
-    return _state_first(out)
-
-
-def _gram_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (S, K, L) stack of a_s' b_s for (S, n, K) ``a`` and (S, n, L)
-    ``b``, a view of a state-last array. einsum contracts the state-last
-    operands, a market's factors uncopied: with the state axis innermost
-    its loops run about ten times faster than over a few-wide axis. Entry
-    (k, l) and entry (l, k) of ``_gram_stack(a, a)`` are the same products
-    summed in the same order."""
-    return _state_first(np.einsum("nks,nls->kls", _state_last(a), _state_last(b)))
+        return _state_first(_dot(x, y))
 
 
 def _fsum(terms: np.ndarray):

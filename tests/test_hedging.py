@@ -27,9 +27,9 @@ from smmport import (
     solve_hedge,
 )
 from smmport import DiscreteMarket, hedging
-from smmport.hedging import CONDITION_LIMIT, _gram_stack
+from smmport.hedging import CONDITION_LIMIT
 from smmport.market import Q_CONSISTENCY_TOL
-from smmport.moments import _chol_solve, _fsum_symmetric
+from smmport.moments import _chol_solve, _fsum_symmetric, _products
 from conftest import random_market
 
 
@@ -566,9 +566,9 @@ def test_gram_stacks_are_symmetric_and_match_state_first_einsum(monkeypatch, s, 
     assert np.array_equal(terms, np.swapaxes(terms, 1, 2))
 
     f = np.stack(basis, axis=-1)
-    y = _gram_stack(market.chol_second, f)
+    y = _products(market.chol_second, f)
     g = rng.standard_normal((s, n, 2))
     for a, b in [(market.chol_second, f), (y, y), (g, _chol_solve(market.chol_second, g))]:
         want = np.einsum("sni,snj->sij", a, b)
         bound = 4 * np.finfo(float).eps * np.einsum("sni,snj->sij", abs(a), abs(b))
-        assert np.all(abs(_gram_stack(a, b) - want) <= bound)
+        assert np.all(abs(_products(a, b) - want) <= bound)

@@ -23,7 +23,7 @@ from smmport import (
     smm_direction,
     tas,
 )
-from smmport.moments import PIVOT_RTOL, _back_solve, _chol_solve, _tri_solve
+from smmport.moments import PIVOT_RTOL, _backward, _chol_solve, _substitute, _tri_solve
 from conftest import random_moment_pair, random_spd
 
 STATE_1 = MomentPair.from_covariance([1.0, 1.0], np.eye(2))
@@ -367,7 +367,7 @@ def test_substitution_against_exact_arithmetic(b_shape, n, near_singular):
         lowers = lowers[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        results = {"forward": _tri_solve(lowers, b), "back": _back_solve(lowers, b),
+        results = {"forward": _tri_solve(lowers, b), "back": _substitute(lowers, b, _backward),
                    "cholesky": _chol_solve(lowers, b)}
     eps = np.finfo(np.float64).eps
     vector = b.ndim == lowers.ndim - 1

@@ -24,6 +24,9 @@ computation allows.
 - Constraints: a hedge splits q into q_g + b' inv(M) b, and the hedged
   policy is orthogonal to every constraint, within the rounding of the
   products that form it.
+- LCEM conditional weights: the model's Sherman-Morrison scaling of
+  inv(Sigma) B f is the second-moment direction of the pair (B f, Sigma),
+  two factorizations apart.
 """
 
 import numpy as np
@@ -33,7 +36,9 @@ from smmport import (
     DiscreteMarket,
     HedgeConstraint,
     Kelly,
+    LcemModel,
     MeanVariance,
+    MomentPair,
     NotPositiveDefinite,
     Policy,
     SharpeBudget,
@@ -41,10 +46,12 @@ from smmport import (
     SingularConstraintSystem,
     evaluate,
     inner_product,
+    lcem_conditional_weights,
     markowitz_policy,
     merge_states,
     optimize_basis,
     q_of,
+    smm_direction,
     smm_policy,
     solve_hedge,
 )
@@ -289,5 +296,30 @@ def test_hedge_splits_q_and_is_orthogonal_to_its_constraints():
                            + float(np.sum(p * (size * np.abs(g[k])).sum(axis=1)))
                            + abs(sol.b_vec[k]) + float(np.abs(sol.m_mat[k]) @ m))
             assert abs(inner_product(policy, g[k], market)) <= 4.0 * bound
+
+    check()
+
+
+def test_lcem_conditional_weights_are_the_smm_direction():
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4), label="assets")
+        k = data.draw(st.integers(1, 4), label="features")
+        log_cond = data.draw(st.floats(0.0, 4.0), label="log10 cond(Sigma)")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sigma = (q * np.logspace(0.0, log_cond, n)) @ q.T
+        model = LcemModel(rng.standard_normal((n, k)), (sigma + sigma.T) / 2.0,
+                          np.zeros(k), np.eye(k))
+        f = rng.standard_normal(k)
+        scale = rng.uniform(0.1, 3.0)
+        got = lcem_conditional_weights(model, f, scale)
+        pair = MomentPair(model.B @ f, sigma=model.sigma)
+        want = scale * smm_direction(pair)
+        # two backward-stable solves, through the factors of Sigma and of
+        # A: their gap grows with both conditions, as per state above
+        tol = 8.0 * EPS * (np.linalg.cond(pair.sigma) + np.linalg.cond(pair.second_moment))
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(got)
 
     check()

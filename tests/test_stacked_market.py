@@ -772,4 +772,27 @@ def test_factors_are_stored_state_last_and_read_uncopied(monkeypatch, how, name)
     assert len(read) == 3 and all(np.shares_memory(a, chol) for a in read[::2])
     read.clear()
     smmport.moments._products(chol, market.smm_directions)
-    assert len(read) == n and all(np.shares_memory(a, chol) for a in read)
+    assert len(read) == 1 and np.shares_memory(read[0], chol)
+
+
+# --- per-state products --------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_products_of_a_state_keep_their_bits_in_any_stack(seed):
+    """Each state's a_s' b_s, for every pair of shapes _products takes, has
+    the same bits alone as in a stack of up to 60 states; a Gram stack of
+    a with itself is exactly symmetric."""
+    rng = np.random.default_rng([33, seed])
+    s, n = int(rng.integers(2, 61)), int(rng.integers(1, 8))
+    m, l = (int(k) for k in rng.integers(1, 4, size=2))
+    vec, mat = rng.standard_normal((s, n)), rng.standard_normal((s, n, m))
+    pairs = [(vec, rng.standard_normal((s, n))), (mat, vec),
+             (vec, rng.standard_normal((s, n, l))), (mat, rng.standard_normal((s, n, l))),
+             (mat, mat)]
+    for a, b in pairs:
+        stacked = smmport.moments._products(a, b)
+        for k in range(s):
+            assert_same_bits(smmport.moments._products(a[k:k + 1], b[k:k + 1])[0], stacked[k])
+    gram = smmport.moments._products(mat, mat)
+    assert np.array_equal(gram, np.swapaxes(gram, 1, 2))
