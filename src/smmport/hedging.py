@@ -22,7 +22,8 @@ the basis Gram matrix come from batched solves and per-state products,
 Gram stacks included (``moments._products``), against the market's
 stacked Cholesky factors, summed over states exactly by ``moments._fsum``
 as in :mod:`smmport.market`: a state's terms are the same bits in any
-stack.
+stack. M c = b, once M passes ``CONDITION_LIMIT``, and the basis system
+are solved by Cholesky factorization and ``moments._solve``.
 """
 
 from __future__ import annotations
@@ -56,20 +57,20 @@ from .moments import (
     Objective,
     PerfSummary,
     _as_array,
-    _chol_solve,
     _fsum,
     _fsum_symmetric,
     _lock,
     _optimum,
     _pair_stacks,
     _products,
+    _solve,
     _sym,
 )
 
 # Reject constraint systems whose matrix M has condition estimate above this.
 # At cond(M) 3e10 to 8e10 (two nearly parallel constraints on 50 random
-# states), spanned_q kept 7 to 10 significant digits against 50-digit
-# mpmath, at most 0.04 of the split check's allowance 4 J eps |c|'|M||c|.
+# states, 100 draws), spanned_q kept 6 to 10 significant digits against
+# 50-digit mpmath, at most 0.074 of the split allowance 4 J eps |c|'|M||c|.
 CONDITION_LIMIT = 1e12
 
 
@@ -202,7 +203,7 @@ def solve_hedge(
     ], axis=-1)
     p = market.probs
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _chol_solve(market.chol_second, g)
+        x = _solve(market.chol_second, g)[0]
         m_terms = p[:, None, None] * _products(g, x)
         b_terms = p[:, None] * _products(g, market.smm_directions)
     _check_terms("constraint", m_terms, b_terms)
@@ -213,7 +214,7 @@ def solve_hedge(
         raise SingularConstraintSystem(
             f"constraint system is singular or ill-conditioned (J={n_con})"
         )
-    multipliers = np.linalg.solve(m_mat, b_vec)
+    multipliers = _solve(np.linalg.cholesky(m_mat), b_vec)[0]
     spanned_q = float(b_vec @ multipliers)
     unit = market.smm_directions + x @ multipliers
     q_g, scale = _scaled_unit(market, unit, spanned_q, multipliers, m_mat, objective,
@@ -230,8 +231,9 @@ def _scaled_unit(market: DiscreteMarket, unit: np.ndarray, other_q: float, coeff
                  gram: np.ndarray, objective: Objective, name: str) -> tuple[float, float]:
     """The second moment h2 of the unit policy ``unit`` and its scale for
     ``objective`` by 1 - h2 = (1 - q) + ``other_q``. h2 + other_q must be q
-    within ``Q_CONSISTENCY_TOL`` plus 4 J eps |c|'|gram||c|: 16 times the
-    most rounding seen solving gram c = b on 1,190 hedges up to cond 1e12."""
+    within ``Q_CONSISTENCY_TOL`` plus 4 J eps |c|'|gram||c|: 7 times the
+    most rounding seen solving gram c = b, 0.56 J eps |c|'|gram||c| on
+    2,572 hedges up to cond 1e12."""
     h2, q = _second_moment(market, unit), q_of(market)
     c = np.abs(coeffs)
     slack = 4.0 * c.size * _EPS * float(c @ np.abs(gram) @ c)
@@ -294,7 +296,7 @@ def optimize_basis(
         pair, _ = _pair_stacks(np.zeros((1, len(basis))), gram[None], np.array([False]))
     except NotPositiveDefinite as exc:
         raise SingularBasis(f"basis Gram matrix is singular: {exc}") from None
-    theta = _chol_solve(pair["chol_sigma"][0], mu_tilde)
+    theta = _solve(pair["chol_sigma"][0], mu_tilde)[0]
     # q - q_basis = sum_s p_s ||L_s'(x_s - F_s theta)||^2, x = inv(A) mu
     residual = _second_moment(market, market.smm_directions - f @ theta)
     coeff = theta * _scaled_unit(market, f @ theta, residual, theta, gram, objective,

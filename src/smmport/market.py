@@ -92,11 +92,14 @@ def _check_probs(probs: np.ndarray) -> None:
 
 def _probability(i: int, p) -> float:
     """State ``i``'s probability ``p`` as a float, or a :class:`DomainError`
-    naming the state if ``p`` is not a number."""
-    try:
-        return float(p)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"state {i}: probability must be a number") from None
+    naming the state if ``p`` is not a real number, as text, numeric text
+    too, and bools are not."""
+    if isinstance(p, numbers.Real) and not isinstance(p, bool):
+        try:
+            return float(p)
+        except OverflowError:
+            pass
+    raise DomainError(f"state {i}: probability must be a number")
 
 
 def _parse(raw: list) -> tuple[list, list, list, np.ndarray]:
@@ -325,7 +328,14 @@ class Policy:
         return self.weights.shape[0]
 
     def scaled(self, c: float) -> "Policy":
-        return Policy(c * self.weights)
+        """Every weight times ``c``; weights past the float maximum raise
+        :class:`DomainError` naming ``c``."""
+        c = _real(c, "c")
+        with np.errstate(over="ignore"):
+            weights = c * self.weights
+        if not np.isfinite(weights).all():
+            raise DomainError(f"c = {c!r} makes the weights overflow")
+        return Policy(weights)
 
     def as_matrix(self) -> np.ndarray:
         return self.weights.copy()

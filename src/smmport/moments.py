@@ -23,15 +23,15 @@ finite inputs, symmetrization, a finite Sigma and A, and a Cholesky
 factorization of both whose smallest pivot must pass ``PIVOT_RTOL``. A
 ``MomentPair`` runs it on a stack of one; a market runs it on all of its
 states at once (see :mod:`smmport.market`). Every later solve against
-those factors is a triangular substitution, forward (``_tri_solve``) or
-forward then back (``_chol_solve``), and every per-state product a_s' b_s
-is ``_products``, dot products, matrix-vector products and Gram stacks
-alike; each is vectorized over a stack of factors and over the
-right-hand sides. Each step the modules share has one implementation
-here: ``_fsum`` every exact sum, ``_sym`` every symmetrization,
-``_warn_asymmetric`` every asymmetry warning, ``_solve`` every direction
-inv(A) mu with its ratio mu' inv(A) mu, and ``_optimum`` every policy
-scale and optimal objective value, the one ladder over the ``Objective``
+those factors, and of a hedge's or basis' small system against its own,
+is a triangular substitution, forward (``_tri_solve``) or forward then
+back (``_solve``), and every per-state product a_s' b_s is ``_products``;
+each is vectorized over a stack of factors and over the right-hand
+sides. Each step the modules share has one implementation here:
+``_fsum`` every exact sum, ``_sym`` every symmetrization,
+``_warn_asymmetric`` every asymmetry warning, ``_solve`` every solve
+inv(A) b with its ratio b' inv(A) b, and ``_optimum`` every policy scale
+and optimal objective value, the one ladder over the ``Objective``
 variants.
 
 Stacks are passed with the state axis first, (S, n, n) and (S, n), but
@@ -224,43 +224,26 @@ def _operands(lower: np.ndarray, b) -> tuple[bool, np.ndarray, np.ndarray]:
     return one, _state_last(lower), np.array(b.transpose(*range(1, b.ndim), 0), order="C")
 
 
-def _substitute(lower: np.ndarray, b, *steps) -> np.ndarray:
-    """``b`` after each of ``steps`` (:func:`_forward`, :func:`_backward`)
-    in turn, against the lower Cholesky factor L or a stack of them.
-
-    L is (n, n) or a stack (S, n, n). b has either L's ndim, a matrix
-    right-hand side ((n, k), or (S, n, k) for a stack), or one less, a
-    vector ((n,), or a stack of vectors (S, n)); the result has b's shape
-    and is a view of the state-last array the steps overwrote. One factor
-    is solved as a stack of one, on the same path."""
-    one, lower, x = _operands(lower, b)
-    for step in steps:
-        step(lower, x)
-    x = _state_first(x)
-    return x[0] if one else x
-
-
 def _tri_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve L y = b for a lower Cholesky factor L (or a stack of them) by
-    forward substitution; shapes as for :func:`_substitute`."""
-    return _substitute(lower, b, _forward)
+    """inv(L) b, the whitening, by forward substitution; shapes as for
+    :func:`_solve`."""
+    one, lower, y = _operands(lower, b)
+    _forward(lower, y)
+    return _state_first(y)[0] if one else _state_first(y)
 
 
-def _chol_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve (L L') x = b given the lower Cholesky factor L (or a stack
-    of them); shapes as for :func:`_substitute`."""
-    return _substitute(lower, b, _forward, _backward)
-
-
-def _solve(lower: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """inv(L L') mu and mu' inv(L L') mu = ||inv(L) mu||^2 for one factor or
-    a stack (the ratio a numpy scalar for one factor): a stack and each of
-    its members agree bit for bit. A ratio past the float maximum is inf,
-    silently."""
-    one, lower, x = _operands(lower, mu)
+def _solve(lower: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """x = inv(L L') b and b' inv(L L') b = ||inv(L) b||^2 for the lower
+    Cholesky factor L, (n, n) or a stack (S, n, n), and b with L's ndim (a
+    matrix right-hand side) or one less (a vector): every full solve of
+    the package. x has b's shape; the ratios are one per factor and column
+    of b, a numpy scalar for one factor and a vector. One factor is solved
+    as a stack of one, so a stack and each of its members agree bit for
+    bit. A ratio past the float maximum is inf, silently."""
+    one, lower, x = _operands(lower, b)
     _forward(lower, x)
     with np.errstate(over="ignore"):
-        ratio = _dot(x, x)
+        ratio = _state_first(_dot(x, x))
     _backward(lower, x)
     x = _state_first(x)
     return (x[0], ratio[0]) if one else (x, ratio)
@@ -609,6 +592,10 @@ class PerfSummary:
     second_moment: float
     rfr: float = 0.0
     _variance: float | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("mean", "second_moment", "rfr"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
     @property
     def variance(self) -> float:

@@ -178,12 +178,12 @@ def test_degenerate_market_is_numerical_error(capsys, tmp_path):
 
 def test_linalg_error_is_numerical_error(capsys, monkeypatch, two_state_market_path,
                                         hedge_constraints_path):
-    # LinAlgError is a ValueError, but it is not invalid input. A hedged
-    # solve reaches np.linalg.solve on its multiplier system.
+    # LinAlgError is a ValueError, but it is not invalid input. Only a
+    # hedged solve reaches np.linalg.cond, on its multiplier system.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", fail)
+    monkeypatch.setattr(np.linalg, "cond", fail)
     rc, out, err = run_cli(capsys, "solve-discrete", "--market", two_state_market_path,
                            "--constraints", hedge_constraints_path)
     assert rc == 1 and out == "" and "Singular matrix" in err

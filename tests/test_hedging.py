@@ -29,7 +29,7 @@ from smmport import (
 from smmport import DiscreteMarket, hedging
 from smmport.hedging import CONDITION_LIMIT
 from smmport.market import Q_CONSISTENCY_TOL
-from smmport.moments import _chol_solve, _fsum_symmetric, _products
+from smmport.moments import _fsum_symmetric, _products, _solve
 from conftest import random_market
 
 
@@ -515,7 +515,7 @@ def test_q_g_is_the_unit_policy_second_moment_bit_for_bit():
         except SingularConstraintSystem:
             continue
         g = np.stack([con.g for con in constraints], axis=-1)
-        unit = market.smm_directions + _chol_solve(market.chol_second, g) @ sol.multipliers
+        unit = market.smm_directions + _solve(market.chol_second, g)[0] @ sol.multipliers
         assert sol.q_g == evaluate(market, Policy(unit)).second_moment
         checked += 1
     assert checked >= 30
@@ -527,7 +527,10 @@ def test_q_g_overflow_is_the_second_moment_error(monkeypatch):
     rng = np.random.default_rng(12)
     market = random_market(rng, n_assets=3, n_states=5)
     constraints = random_constraints(rng, market, 1)
-    monkeypatch.setattr(np.linalg, "solve", lambda m, b: np.full_like(b, 1e200))
+    cholesky = np.linalg.cholesky
+    # M's factor times 1e-100 makes the multipliers inv(M) b times 1e200
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda m: cholesky(m) * 1e-100 if m.ndim == 2 else cholesky(m))
     with pytest.raises(DomainError, match="^the policy's second moment overflows: "
                                           "its weights are too large$"):
         solve_hedge(market, constraints, Kelly())
@@ -543,8 +546,10 @@ def test_wrong_multipliers_fail_the_split_check(monkeypatch):
     _, sol = solve_hedge(market, constraints, Kelly())
     assert abs(sol.q_g + sol.spanned_q - q_of(market)) <= Q_CONSISTENCY_TOL
     assert sol.spanned_q > 1e-3
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda m, b: solve(m, b) * (1.0 + 1e-6))
+    cholesky = np.linalg.cholesky
+    # the factor of M scaled by 1/sqrt(1 + 1e-6) scales the multipliers by 1 + 1e-6
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: cholesky(m) / math.sqrt(1.0 + 1e-6)
+                        if m.ndim == 2 else cholesky(m))
     with pytest.raises(SmmError, match="q_g \\+ spanned_q"):
         solve_hedge(market, constraints, Kelly())
 
@@ -568,7 +573,7 @@ def test_gram_stacks_are_symmetric_and_match_state_first_einsum(monkeypatch, s, 
     f = np.stack(basis, axis=-1)
     y = _products(market.chol_second, f)
     g = rng.standard_normal((s, n, 2))
-    for a, b in [(market.chol_second, f), (y, y), (g, _chol_solve(market.chol_second, g))]:
+    for a, b in [(market.chol_second, f), (y, y), (g, _solve(market.chol_second, g)[0])]:
         want = np.einsum("sni,snj->sij", a, b)
         bound = 4 * np.finfo(float).eps * np.einsum("sni,snj->sij", abs(a), abs(b))
         assert np.all(abs(_products(a, b) - want) <= bound)

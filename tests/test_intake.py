@@ -17,6 +17,7 @@ from smmport import (
     LeverageSample,
     MeanVariance,
     MomentPair,
+    PerfSummary,
     Policy,
     SharpeBudget,
     evaluate,
@@ -213,12 +214,35 @@ def test_silverman_bandwidth_needs_two_samples(xs):
         silverman_bandwidth(xs)
 
 
-@pytest.mark.parametrize("prob", [None, "half", [0.5], {"p": 0.5}, 10**400],
-                         ids=["none", "text", "list", "mapping", "huge-int"])
+@pytest.mark.parametrize("prob", [None, "half", [0.5], {"p": 0.5}, 10**400, "0.5", True],
+                         ids=["none", "text", "list", "mapping", "huge-int", "numeric-text",
+                              "bool"])
 def test_market_names_the_state_of_a_non_numeric_probability(prob):
     pair = MomentPair.from_covariance([0.1], [[1.0]])
     with pytest.raises(DomainError, match="^state 1: probability must be a number$"):
         DiscreteMarket([(0.5, pair), (prob, pair)])
+
+
+@pytest.mark.parametrize("c", ["2", np.nan, np.inf, None, [2.0]],
+                         ids=["numeric-text", "nan", "inf", "none", "list"])
+def test_policy_scaled_names_a_bad_factor(c):
+    with pytest.raises(DomainError, match="^c must be finite$"):
+        Policy([[1.0, 2.0], [3.0, 4.0]]).scaled(c)
+
+
+def test_policy_scaled_names_the_factor_that_overflows_the_weights():
+    with pytest.raises(DomainError, match="^c = 1e\\+300 makes the weights overflow$"):
+        Policy([[1.0, 1e10]]).scaled(1e300)
+    assert Policy([[1.0, -2.0]]).scaled(np.float32(0.5)).weights.tolist() == [[0.5, -1.0]]
+
+
+@pytest.mark.parametrize("field", ["mean", "second_moment", "rfr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "1.0", None], ids=["nan", "inf", "text", "none"])
+def test_perf_summary_names_a_bad_moment(field, bad):
+    # min and max drop a NaN mean: hansen read -1.0 for mean=nan
+    values = {"mean": 0.5, "second_moment": 1.0, "rfr": 0.0, field: bad}
+    with pytest.raises(DomainError, match=f"^{field} must be finite$"):
+        PerfSummary(**values)
 
 
 def test_moment_pair_rejects_a_mapping():

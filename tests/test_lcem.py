@@ -628,6 +628,64 @@ def test_delta_sr_value_against_mpmath(kappa):
         assert abs(report.delta_sr.value - exact) <= 1e-13 * abs(exact)
 
 
+EPS = float(np.finfo(float).eps)
+# relative error allowed against mpmath, in eps: about four times the
+# largest seen over seeds 0-31 (in brackets), except delta_sr's SE, whose
+# gradient nearly cancels against the covariance formed from raw power
+# sums (known defect 1 at full signal strength): 5.6e5 eps, 1.3e-10
+MC_RTOL_EPS = {"q": 8, "sr_smm": 8, "sr_mp": 8, "rescale_std": 8,  # [0.64, 0.58, 0.93, 1.5]
+               "q_se": 8, "sr_smm_se": 8, "sr_mp_se": 8,  # [1.5, 1.9, 2.2]
+               "delta_sr": 40, "rescale_se": 40,  # [10.2, 9.2]
+               "delta_sr_se": 2e6}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compare_policies_against_mpmath_on_its_own_s_values(seed):
+    """Every statistic of compare_policies on one chunk of the sample model
+    against the estimator's own definitions in 50-digit mpmath, given the
+    same s values: the means of a = s / (1 + s), s and s^2, the Sharpe
+    ratios sqrt(a / (1 - a)) and b / sqrt(b + c - b^2) and their plain
+    difference, the n - 1 standard deviation of a with the SE from a's
+    fourth central moment, and the delta-method SEs from the n - 1 sample
+    covariance of (a, s, s^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 4096
+    report = compare_policies(sample_model(), McConfig(n_samples=n, seed=seed), 1.0)
+    with mpmath.workdps(50):
+        s = [mpmath.mpf(v) for v in s_block(sample_model(), seed, 0, n).tolist()]
+        a = [v / (1 + v) for v in s]
+        cols = [a, s, [v * v for v in s]]
+        a_bar, b_bar, c_bar = means = [mpmath.fsum(col) / n for col in cols]
+        cov = [[mpmath.fsum((x - mx) * (y - my) for x, y in zip(cx, cy)) / (n - 1)
+                for cy, my in zip(cols, means)] for cx, mx in zip(cols, means)]
+        v = b_bar + c_bar - b_bar * b_bar
+        sr_smm, sr_mp = mpmath.sqrt(a_bar / (1 - a_bar)), b_bar / mpmath.sqrt(v)
+        d_smm = 1 / (2 * mpmath.sqrt(a_bar) * mpmath.power(1 - a_bar, 1.5))
+        d_b = (1 - b_bar * (1 - 2 * b_bar) / (2 * v)) / mpmath.sqrt(v)
+        d_c = -b_bar / (2 * mpmath.power(v, 1.5))
+
+        def delta_se(grad):
+            return mpmath.sqrt(mpmath.fsum(gi * cij * gj for gi, row in zip(grad, cov)
+                                           for cij, gj in zip(row, grad)) / n)
+
+        m2, m4 = cov[0][0], mpmath.fsum((x - a_bar) ** 4 for x in a) / n
+        exact = {
+            "q": (a_bar, mpmath.sqrt(m2 / n)),
+            "sr_smm": (sr_smm, delta_se([d_smm, 0, 0])),
+            "sr_mp": (sr_mp, delta_se([0, d_b, d_c])),
+            "delta_sr": (sr_smm - sr_mp, delta_se([d_smm, -d_b, -d_c])),
+            "rescale_std": (mpmath.sqrt(m2),
+                            mpmath.sqrt((m4 - m2 * m2) / n) / (2 * mpmath.sqrt(m2))),
+        }
+        se_names = {"rescale_std": "rescale_se"}
+        for name, (value, se) in exact.items():
+            got = getattr(report, name)
+            for key, computed, want in [(name, got.value, value),
+                                        (se_names.get(name, name + "_se"), got.std_error, se)]:
+                err = abs(mpmath.mpf(computed) - want) / abs(want)
+                assert err <= MC_RTOL_EPS[key] * EPS, (key, float(err / EPS))
+
+
 def test_compare_policies_matches_estimate_q():
     model = small_model(seed=9)
     cfg = McConfig(n_samples=30000, seed=13)

@@ -1,7 +1,7 @@
 """The numerical steps the modules share, each with one implementation in
 ``smmport.moments``: the exact sum ``_fsum``, the symmetrization ``_sym``,
-the asymmetry warning ``_warn_asymmetric`` and the moment-pair solve
-``_solve``, and the overflow checks of ``_pair_stacks``."""
+the asymmetry warning ``_warn_asymmetric`` and the one solve ``_solve``,
+and the overflow checks of ``_pair_stacks``."""
 
 import json
 import math
@@ -21,7 +21,7 @@ from smmport import (
     smm_direction,
 )
 from smmport.cli import main
-from smmport.moments import _fsum, _pivots_ok, _sym
+from smmport.moments import _fsum, _pivots_ok, _solve, _sym
 from conftest import random_spd
 
 
@@ -269,6 +269,25 @@ def test_each_state_pair_agrees_with_the_market_bit_for_bit(n):
         assert conditional_sharpe_sq(pair) == market.conditional_sharpe_sq[i]
         assert smm_direction(pair).tobytes() == market.smm_directions[i].tobytes()
         assert markowitz_direction(pair).tobytes() == market.markowitz_directions[i].tobytes()
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["one-factor", "stack"])
+def test_solve_gives_one_ratio_per_column_with_the_bits_of_a_vector_solve(stack):
+    # hedges solve a matrix right-hand side, a basis and the multipliers
+    # one factor; each column is solved as if alone
+    rng = np.random.default_rng([7, stack])
+    n, k = 4, 3
+    lower = np.stack([np.linalg.cholesky(random_spd(rng, n)) for _ in range(5)])
+    b = rng.standard_normal((5, n, k))
+    if not stack:
+        lower, b = lower[0], b[0]
+    x, ratio = _solve(lower, b)
+    assert x.shape == b.shape and ratio.shape == b.shape[:-2] + (k,)
+    for j in range(k):
+        x_j, ratio_j = _solve(lower, b[..., j])
+        assert x[..., j].tobytes() == x_j.tobytes()
+        assert np.shape(ratio_j) == b.shape[:-2]
+        assert ratio[..., j].tobytes() == np.asarray(ratio_j).tobytes()
 
 
 # --- overflow of Sigma + mu mu' ------------------------------------------
